@@ -192,13 +192,15 @@ def double_diagram(w: Permutation) -> ColoredDiagram:
 
 def restrict_green(diagram: ColoredDiagram) -> frozenset[Arc]:
     arcs = frozenset(diagram.green_arcs())
-    assert check_nad(arcs)
+    if not check_nad(arcs):
+        raise ValueError(f"green arcs of {diagram} are not a noncrossing diagram")
     return arcs
 
 
 def restrict_red(diagram: ColoredDiagram) -> frozenset[Arc]:
     arcs = frozenset(diagram.red_arcs())
-    assert check_nad(arcs)
+    if not check_nad(arcs):
+        raise ValueError(f"red arcs of {diagram} are not a noncrossing diagram")
     return arcs
 
 

@@ -3,17 +3,20 @@
 Every check compares two independent routes to the same answer: string
 combinatorics against explicit linear algebra, local diagram rewrites
 against the symmetric-group action, closed counting formulas against
-exhaustive enumeration.  Each criterion reports pass/fail plus a minimal
-counterexample, and the CLI ``check`` subcommand is a thin runner over
-these functions.
+exhaustive enumeration.  ``CRITERIA`` states each acceptance criterion once:
+its number, name, suite, full rank range, and a generator of
+``(label, got, expected)`` cases at one rank.  ``run_criterion`` sweeps every
+case exhaustively; the CLI ``check`` subcommand and the acceptance tests
+both iterate the same table.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass, field
+from functools import cache, reduce
+from typing import Any, Callable, Iterator
 
 from .arcs import (
     arc_to_join_irreducible,
@@ -55,7 +58,7 @@ from .quotients import (
 )
 from .strings import graph_map_count
 
-SAMPLE_SEED = 20260809
+Case = tuple[str, Any, Any]
 
 
 @dataclass
@@ -74,384 +77,221 @@ class CheckResult:
         return out
 
 
-def _run(name: str, fn) -> CheckResult:
-    start = time.perf_counter()
-    failures: list[str] = []
-    detail = fn(failures)
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        name=name,
-        passed=not failures,
-        detail=detail if not failures else f"{detail}; {len(failures)} failure(s)",
-        counterexample=failures[0] if failures else "",
-        seconds=elapsed,
-    )
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance criterion: ``cases(n)`` yields its ``(label, got,
+    expected)`` comparisons at rank n, for every n in ``ranks``."""
+
+    number: str
+    suite: str
+    ranks: range
+    cases: Callable[[int], Iterator[Case]]
+
+    @property
+    def name(self) -> str:
+        """The case generator's name, hyphenated: ``_order_criterion`` gives
+        ``order-criterion``."""
+        return self.cases.__name__.strip("_").replace("_", "-")
 
 
-def check_bijection_counts(max_n: int = 5) -> CheckResult:
+@cache
+def _hom_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """hom_dim between the arc modules of every ordered pair of arcs,
+    indexed like ``enumerate_arcs(n)``; built on first use, once per n."""
+    modules = [arc_module(arc, n) for arc in enumerate_arcs(n)]
+    return tuple(tuple(hom_dim(a, b) for b in modules) for a in modules)
+
+
+def _bijection_counts(n: int) -> Iterator[Case]:
     """Distinct green diagrams over W number (n+1)! and pass the diagram test."""
-
-    def body(failures):
-        seen = 0
-        for n in range(1, min(5, max_n) + 1):
-            greens = set()
-            for w in all_permutations(n):
-                g = restrict_green(double_diagram(w))
-                if not check_nad(g):
-                    failures.append(f"n={n} w={w}: green restriction fails nad test")
-                greens.add(g)
-            if len(greens) != math.factorial(n + 1):
-                failures.append(
-                    f"n={n}: {len(greens)} distinct green diagrams, "
-                    f"expected {math.factorial(n + 1)}"
-                )
-            seen += len(greens)
-        return f"{seen} diagrams over n=1..{min(5, max_n)}"
-
-    return _run("bijection-counts", body)
+    greens = set()
+    for w in all_permutations(n):
+        green = restrict_green(double_diagram(w))
+        yield f"w={w} green restriction is noncrossing", check_nad(green), True
+        greens.add(green)
+    yield "distinct green diagrams", len(greens), math.factorial(n + 1)
 
 
-ARC_COUNTS = {1: 1, 2: 4, 3: 11, 4: 26, 5: 57, 6: 120}
-
-
-def check_brick_classification(max_n: int = 6) -> CheckResult:
+def _brick_classification(n: int) -> Iterator[Case]:
     """Arc counts match the closed formula and the single-descent count;
     every arc module is a brick of quadratic value 2 with no self-extension."""
-
-    def body(failures):
-        total = 0
-        for n in range(1, min(6, max_n) + 1):
-            arcs = enumerate_arcs(n)
-            if len(arcs) != 2 ** (n + 1) - n - 2 or len(arcs) != ARC_COUNTS[n]:
-                failures.append(f"n={n}: {len(arcs)} arcs, expected {ARC_COUNTS[n]}")
-            single_descent = sum(
-                1 for w in all_permutations(n) if len(descents(w)) == 1
-            )
-            if single_descent != len(arcs):
-                failures.append(
-                    f"n={n}: {single_descent} single-descent words vs {len(arcs)} arcs"
-                )
-            for arc in arcs:
-                module = arc_module(arc, n)
-                if not is_brick(module):
-                    failures.append(f"n={n} {arc}: not a brick")
-                if quad(module.dims) != 2:
-                    failures.append(f"n={n} {arc}: quadratic value {quad(module.dims)}")
-                if ext1_dim(module, module) != 0:
-                    failures.append(f"n={n} {arc}: nonzero self-extension")
-            total += len(arcs)
-        return f"{total} arcs over n=1..{min(6, max_n)}"
-
-    return _run("brick-classification", body)
+    arcs = enumerate_arcs(n)
+    yield "arcs", len(arcs), 2 ** (n + 1) - n - 2
+    single = sum(1 for w in all_permutations(n) if len(descents(w)) == 1)
+    yield "single-descent words", single, len(arcs)
+    for arc in arcs:
+        module = arc_module(arc, n)
+        yield f"{arc} is a brick", is_brick(module), True
+        yield f"{arc} quadratic value", quad(module.dims), 2
+        yield f"{arc} self-extension", ext1_dim(module, module), 0
 
 
-def check_graph_maps_equal_linear_algebra(max_n: int = 4) -> CheckResult:
+def _graph_maps_equal_linear_algebra(n: int) -> Iterator[Case]:
     """Graph-map counts reproduce hom dimensions on every ordered arc pair."""
-
-    def body(failures):
-        pairs = 0
-        for n in (3, 4):
-            if n > max_n:
-                continue
-            arcs = enumerate_arcs(n)
-            modules = {arc: arc_module(arc, n) for arc in arcs}
-            for a in arcs:
-                for b in arcs:
-                    combinatorial = graph_map_count(a, b)
-                    linear = hom_dim(modules[a], modules[b])
-                    if combinatorial != linear:
-                        failures.append(
-                            f"n={n} {a}->{b}: {combinatorial} graph maps vs "
-                            f"hom dimension {linear}"
-                        )
-                    pairs += 1
-        return f"{pairs} ordered pairs"
-
-    return _run("graph-maps-equal-linear-algebra", body)
+    arcs = enumerate_arcs(n)
+    homs = _hom_table(n)
+    for i, a in enumerate(arcs):
+        for j, b in enumerate(arcs):
+            label = f"{a}->{b} graph maps vs hom dimension"
+            yield label, graph_map_count(a, b), homs[i][j]
 
 
-def check_orthogonality_iff_noncrossing(max_n: int = 4) -> CheckResult:
+def _orthogonality_iff_noncrossing(n: int) -> Iterator[Case]:
     """Hom-orthogonality coincides with the noncrossing conditions, and the
     shared-endpoint case split behaves as stated."""
-
-    def body(failures):
-        pairs = 0
-        for n in range(1, min(4, max_n) + 1):
-            arcs = enumerate_arcs(n)
-            modules = {arc: arc_module(arc, n) for arc in arcs}
-            for i, a in enumerate(arcs):
-                for b in arcs[i + 1 :]:
-                    h_ab = hom_dim(modules[a], modules[b])
-                    h_ba = hom_dim(modules[b], modules[a])
-                    orthogonal = h_ab == 0 and h_ba == 0
-                    if check_nad([a, b]) != orthogonal:
-                        failures.append(
-                            f"n={n} {a},{b}: nad={check_nad([a, b])} but homs "
-                            f"({h_ab},{h_ba})"
-                        )
-                    if not is_crossing(a, b):
-                        same_left = a.left == b.left
-                        same_right = a.right == b.right
-                        if same_left != same_right and sorted((h_ab, h_ba)) != [0, 1]:
-                            failures.append(
-                                f"n={n} {a},{b}: one shared endpoint, homs ({h_ab},{h_ba})"
-                            )
-                        if same_left and same_right and (h_ab == 0 or h_ba == 0):
-                            failures.append(
-                                f"n={n} {a},{b}: both endpoints shared, homs ({h_ab},{h_ba})"
-                            )
-                    pairs += 1
-        return f"{pairs} unordered pairs over n=1..{min(4, max_n)}"
-
-    return _run("orthogonality-iff-noncrossing", body)
+    arcs = enumerate_arcs(n)
+    homs = _hom_table(n)
+    for i, a in enumerate(arcs):
+        for j in range(i + 1, len(arcs)):
+            b, h = arcs[j], (homs[i][j], homs[j][i])
+            yield f"{a},{b} homs {h}: nad vs orthogonal", check_nad([a, b]), h == (0, 0)
+            if not is_crossing(a, b):
+                shared = (a.left == b.left) + (a.right == b.right)
+                if shared == 1:
+                    yield f"{a},{b}: one shared endpoint, homs", sorted(h), [0, 1]
+                if shared == 2:
+                    yield f"{a},{b} homs {h}: both endpoints shared", min(h) > 0, True
 
 
-def check_semibrick_oracle(max_n: int = 3) -> CheckResult:
-    """At n=3, the pairwise hom-orthogonal arc sets found by linear solves
-    are exactly the 24 green diagrams."""
-
-    def body(failures):
-        if max_n < 3:
-            return "skipped (max_n < 3)"
-        n = 3
-        arcs = enumerate_arcs(n)
-        modules = [arc_module(arc, n) for arc in arcs]
-        masks = [0] * len(arcs)
-        for i in range(len(arcs)):
-            for j in range(i + 1, len(arcs)):
-                if hom_dim(modules[i], modules[j]) == 0 and hom_dim(
-                    modules[j], modules[i]
-                ) == 0:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        orthogonal_sets = {
-            frozenset(arcs[j] for j in idx)
-            for idx in iter_compatible_index_sets(masks)
-        }
-        greens = {
-            restrict_green(double_diagram(w)) for w in all_permutations(n)
-        }
-        if len(orthogonal_sets) != 24:
-            failures.append(f"{len(orthogonal_sets)} orthogonal sets, expected 24")
-        if orthogonal_sets != greens:
-            extra = orthogonal_sets - greens
-            missing = greens - orthogonal_sets
-            failures.append(
-                f"sets differ: {len(extra)} extra, {len(missing)} missing; "
-                f"first extra: {sorted(map(str, next(iter(extra), ())))}"
-            )
-        return f"{len(orthogonal_sets)} orthogonal sets among 2^{len(arcs)} subsets"
-
-    return _run("semibrick-oracle", body)
+def _semibrick_oracle(n: int) -> Iterator[Case]:
+    """The pairwise hom-orthogonal arc sets, read off the hom table, are
+    exactly the (n+1)! green diagrams."""
+    arcs = enumerate_arcs(n)
+    homs = _hom_table(n)
+    size = len(arcs)
+    masks = [
+        sum(1 << j for j in range(size) if j != i and homs[i][j] == homs[j][i] == 0)
+        for i in range(size)
+    ]
+    orthogonal = {
+        frozenset(arcs[j] for j in idx) for idx in iter_compatible_index_sets(masks)
+    }
+    greens = {restrict_green(double_diagram(w)) for w in all_permutations(n)}
+    yield "orthogonal sets", len(orthogonal), math.factorial(n + 1)
+    for label, extra in (
+        ("orthogonal sets that are not green diagrams", orthogonal - greens),
+        ("green diagrams that are not orthogonal", greens - orthogonal),
+    ):
+        yield label, sorted(sorted(map(str, s)) for s in extra), []
 
 
-def check_mutation_compatibility(max_n: int = 4) -> CheckResult:
+def _mutation_compatibility(n: int) -> Iterator[Case]:
     """Diagram mutation agrees with the simple-generator action everywhere."""
-
-    def body(failures):
-        checks = 0
-        for n in (3, 4):
-            if n > max_n:
-                continue
-            for w in all_permutations(n):
-                diagram = double_diagram(w)
-                for i in range(1, n + 1):
-                    direction = "left" if i in descents(w) else "right"
-                    expected = double_diagram(left_multiply_simple(i, w))
-                    got = mutate_dad(diagram, i, direction)
-                    if got != expected:
-                        failures.append(f"n={n} w={w} i={i} ({direction})")
-                    checks += 1
-        return f"{checks} mutations"
-
-    return _run("mutation-compatibility", body)
+    for w in all_permutations(n):
+        diagram = double_diagram(w)
+        for i in range(1, n + 1):
+            direction = "left" if i in descents(w) else "right"
+            got = mutate_dad(diagram, i, direction)
+            expected = double_diagram(left_multiply_simple(i, w))
+            yield f"w={w} i={i} ({direction})", got, expected
 
 
-def check_module_mutation_oracle(max_n: int = 4, samples: int = 500) -> CheckResult:
-    """Module-level mutation matches the diagram route member by member:
-    exhaustively at n=3, on seeded samples at n=4."""
-
-    def body(failures):
-        cases = []
-        if max_n >= 3:
-            for w in all_permutations(3):
-                for i in descents(w):
-                    cases.append((3, w, i))
-        sampled = 0
-        if max_n >= 4:
-            rng = random.Random(SAMPLE_SEED)
-            perms4 = all_permutations(4)
-            while sampled < samples:
-                w = perms4[rng.randrange(len(perms4))]
-                des = descents(w)
-                if not des:
-                    continue
-                cases.append((4, w, des[rng.randrange(len(des))]))
-                sampled += 1
-        for n, w, i in cases:
-            diagram = double_diagram(w)
+def _module_mutation_oracle(n: int) -> Iterator[Case]:
+    """Module-level mutation matches the diagram route member by member, at
+    every descent of every word."""
+    for w in all_permutations(n):
+        members = psi(double_diagram(w))
+        for i in descents(w):
+            got = mutate_smc_collection(members, i)
             expected = psi(double_diagram(left_multiply_simple(i, w)))
-            got = mutate_smc_collection(psi(diagram), i)
-            if not collections_match(got, expected):
-                failures.append(f"n={n} w={w} i={i}")
-        return f"{len(cases)} mutations ({len(cases) - sampled} exhaustive, {sampled} sampled)"
-
-    return _run("module-mutation-oracle", body)
+            yield f"w={w} i={i} members match", collections_match(got, expected), True
 
 
-def check_order_criterion(max_n: int = 4, samples: int = 2000) -> CheckResult:
-    """The no-graph-map criterion reproduces the weak order."""
-
-    def body(failures):
-        checked = 0
-        if max_n >= 3:
-            perms = all_permutations(3)
-            diagrams = {w: double_diagram(w) for w in perms}
-            for u in perms:
-                for w in perms:
-                    if smc_leq(diagrams[u], diagrams[w]) != weak_leq(u, w):
-                        failures.append(f"n=3 u={u} w={w}")
-                    checked += 1
-        if max_n >= 4:
-            rng = random.Random(SAMPLE_SEED)
-            perms = all_permutations(4)
-            diagrams = {w: double_diagram(w) for w in perms}
-            for _ in range(samples):
-                u = perms[rng.randrange(len(perms))]
-                w = perms[rng.randrange(len(perms))]
-                if smc_leq(diagrams[u], diagrams[w]) != weak_leq(u, w):
-                    failures.append(f"n=4 u={u} w={w}")
-                checked += 1
-        return f"{checked} ordered pairs"
-
-    return _run("order-criterion", body)
+def _order_criterion(n: int) -> Iterator[Case]:
+    """The no-graph-map criterion reproduces the weak order on every pair."""
+    perms = all_permutations(n)
+    diagrams = [double_diagram(w) for w in perms]
+    for u, lower in zip(perms, diagrams):
+        for w, upper in zip(perms, diagrams):
+            yield f"u={u} w={w} order", smc_leq(lower, upper), weak_leq(u, w)
 
 
-def check_canonical_join_representations(max_n: int = 5) -> CheckResult:
+def _canonical_join_representations(n: int) -> Iterator[Case]:
     """Green arcs are join-irreducible joinands of w, irredundantly."""
 
-    def body(failures):
-        words = 0
-        for n in range(1, min(5, max_n) + 1):
-            for w in all_permutations(n):
-                greens = sorted(restrict_green(double_diagram(w)), key=lambda a: a.sort_key())
-                joinands = [arc_to_join_irreducible(a, n) for a in greens]
-                total = identity_permutation(n)
-                for u in joinands:
-                    total = join(total, u)
-                if total != w:
-                    failures.append(f"n={n} w={w}: joinands give {total}")
-                for k in range(len(joinands)):
-                    sub = identity_permutation(n)
-                    for j, u in enumerate(joinands):
-                        if j != k:
-                            sub = join(sub, u)
-                    if sub == w or not weak_leq(sub, w):
-                        failures.append(f"n={n} w={w}: dropping {greens[k]} not strict")
-                words += 1
-        return f"{words} words over n=1..{min(5, max_n)}"
+    def join_all(words):
+        return reduce(join, words, identity_permutation(n))
 
-    return _run("canonical-join-representations", body)
+    for w in all_permutations(n):
+        greens = sorted(restrict_green(double_diagram(w)), key=lambda a: a.sort_key())
+        joinands = [arc_to_join_irreducible(a, n) for a in greens]
+        yield f"w={w} join of joinands", join_all(joinands), w
+        for k, arc in enumerate(greens):
+            sub = join_all(joinands[:k] + joinands[k + 1 :])
+            yield f"w={w} dropping {arc} is strict", sub != w and weak_leq(sub, w), True
 
 
-RNAD_COUNTS = (2, 5, 14, 42, 132, 429)
-
-
-def check_quotient_families(max_n: int = 6) -> CheckResult:
+def _quotient_families(n: int) -> Iterator[Case]:
     """Ideal filters against the closed families and counting formulas."""
-
-    def body(failures):
-        for n in range(1, min(5, max_n) + 1):
-            filtered = nad_ideal_filter(n, two_cycle_ideal(n))
-            if len(filtered) != math.factorial(n + 1) or set(filtered) != set(
-                enumerate_nad(n)
-            ):
-                failures.append(f"n={n}: two-cycle filter is not all of nad")
-        for n in range(1, min(6, max_n) + 1):
-            count = family_count(n, "rnad")
-            if count != RNAD_COUNTS[n - 1]:
-                failures.append(
-                    f"n={n}: rnad count {count}, expected {RNAD_COUNTS[n - 1]}"
-                )
-        for n in range(1, min(5, max_n) + 1):
-            lin = linear_ideal(n)
-            rad2 = radical_square_ideal(n)
-            for arc in enumerate_arcs(n):
-                if is_right_arc(arc) != arc_killed_by(arc, lin, n):
-                    failures.append(f"n={n} {arc}: right-arc predicate vs path filter")
-                if is_alternating_arc(arc) != arc_killed_by(arc, rad2, n):
-                    failures.append(
-                        f"n={n} {arc}: alternating predicate vs radical-square filter"
-                    )
-            if family_count(n, "anad") != family_count(n, "custom", rad2):
-                failures.append(f"n={n}: anad counts disagree between routes")
-        return f"families over n=1..{min(6, max_n)}"
-
-    return _run("quotient-families", body)
+    catalan = math.comb(2 * n + 2, n + 1) // (n + 2)
+    yield "rnad count", family_count(n, "rnad"), catalan
+    filtered = nad_ideal_filter(n, two_cycle_ideal(n))
+    yield "two-cycle filter size", len(filtered), math.factorial(n + 1)
+    yield "two-cycle filter is all of nad", set(filtered) == set(enumerate_nad(n)), True
+    lin, rad2 = linear_ideal(n), radical_square_ideal(n)
+    for arc in enumerate_arcs(n):
+        killed = arc_killed_by(arc, lin, n), arc_killed_by(arc, rad2, n)
+        yield f"{arc} right-arc predicate", is_right_arc(arc), killed[0]
+        yield f"{arc} alternating predicate", is_alternating_arc(arc), killed[1]
+    yield "anad count", family_count(n, "anad"), family_count(n, "custom", rad2)
 
 
-def check_hasse_structure(max_n: int = 3) -> CheckResult:
+def _hasse_structure(n: int) -> Iterator[Case]:
     """The mutation graph is the weak-order cover digraph, sizes included."""
-
-    def body(failures):
-        for n, nv, ne in ((2, 6, 6), (3, 24, 36)):
-            if n > max_n:
-                continue
-            diagrams, edges = hasse(n)
-            if len(diagrams) != nv or len(edges) != ne:
-                failures.append(
-                    f"n={n}: {len(diagrams)} vertices / {len(edges)} edges, "
-                    f"expected {nv}/{ne}"
-                )
-            perms, weak_edges = weak_order_hasse(n)
-            if [d.permutation() for d in diagrams] != perms:
-                failures.append(f"n={n}: vertex labelings differ")
-            if sorted(edges) != sorted(weak_edges):
-                failures.append(f"n={n}: edge sets differ")
-        return "mutation graph vs weak-order covers, n=2 and n=3"
-
-    return _run("hasse-structure", body)
+    diagrams, edges = hasse(n)
+    perms, weak_edges = weak_order_hasse(n)
+    yield "vertices", len(diagrams), math.factorial(n + 1)
+    yield "edges", len(edges), math.factorial(n + 1) * n // 2
+    yield "vertex labelings agree", [d.permutation() for d in diagrams] == perms, True
+    yield "edge sets agree", sorted(edges) == sorted(weak_edges), True
 
 
-ALL_CHECKS = (
-    check_bijection_counts,
-    check_brick_classification,
-    check_graph_maps_equal_linear_algebra,
-    check_orthogonality_iff_noncrossing,
-    check_semibrick_oracle,
-    check_mutation_compatibility,
-    check_module_mutation_oracle,
-    check_order_criterion,
-    check_canonical_join_representations,
-    check_quotient_families,
-    check_hasse_structure,
+CRITERIA = (
+    Criterion("01", "bijection", range(1, 6), _bijection_counts),
+    Criterion("02", "bijection", range(1, 7), _brick_classification),
+    Criterion("03", "homs", range(3, 5), _graph_maps_equal_linear_algebra),
+    Criterion("04", "homs", range(1, 5), _orthogonality_iff_noncrossing),
+    Criterion("05", "bijection", range(3, 4), _semibrick_oracle),
+    Criterion("06", "mutation", range(3, 5), _mutation_compatibility),
+    Criterion("07", "mutation", range(3, 5), _module_mutation_oracle),
+    Criterion("08", "order", range(3, 5), _order_criterion),
+    Criterion("09", "bijection", range(1, 6), _canonical_join_representations),
+    Criterion("10", "quotients", range(1, 7), _quotient_families),
+    Criterion("11", "order", range(2, 4), _hasse_structure),
 )
 
-SUITES = {
-    "bijection": (
-        check_bijection_counts,
-        check_brick_classification,
-        check_semibrick_oracle,
-        check_canonical_join_representations,
-    ),
-    "homs": (
-        check_graph_maps_equal_linear_algebra,
-        check_orthogonality_iff_noncrossing,
-    ),
-    "mutation": (
-        check_mutation_compatibility,
-        check_module_mutation_oracle,
-    ),
-    "order": (
-        check_order_criterion,
-        check_hasse_structure,
-    ),
-    "quotients": (check_quotient_families,),
-    "all": ALL_CHECKS,
-}
+SUITES = ("all", *dict.fromkeys(c.suite for c in CRITERIA))
+
+
+def run_criterion(criterion: Criterion, max_n: int | None = None) -> CheckResult:
+    """Every case of the criterion at each rank of its range up to ``max_n``."""
+    start = time.perf_counter()
+    ranks = [n for n in criterion.ranks if max_n is None or n <= max_n]
+    cases = 0
+    failures: list[str] = []
+    for n in ranks:
+        for label, got, expected in criterion.cases(n):
+            cases += 1
+            if got != expected:
+                failures.append(f"n={n} {label}: got {got}, expected {expected}")
+    if not ranks:
+        detail = f"skipped (range starts at n={criterion.ranks[0]})"
+    elif len(ranks) == 1:
+        detail = f"{cases} cases at n={ranks[0]}"
+    else:
+        detail = f"{cases} cases over n={ranks[0]}..{ranks[-1]}"
+    if failures:
+        detail += f"; {len(failures)} failure(s)"
+    return CheckResult(
+        name=criterion.name,
+        passed=not failures,
+        detail=detail,
+        counterexample=failures[0] if failures else "",
+        seconds=time.perf_counter() - start,
+    )
 
 
 def run_suite(suite: str, max_n: int) -> list[CheckResult]:
     if suite not in SUITES:
         raise KeyError(suite)
-    return [fn(max_n=max_n) for fn in SUITES[suite]]
+    return [run_criterion(c, max_n) for c in CRITERIA if suite in ("all", c.suite)]

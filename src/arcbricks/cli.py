@@ -133,8 +133,13 @@ def cmd_count(args) -> int:
         if not args.ideal:
             raise CliError(EXIT_USAGE, "custom family needs --ideal")
         try:
-            ideal = parse_ideal(json.loads(args.ideal))
-        except (ValueError, TypeError) as exc:
+            tokens = json.loads(args.ideal)
+            if not isinstance(tokens, list) or not all(
+                isinstance(t, str) for t in tokens
+            ):
+                raise ValueError("need a JSON list of strings")
+            ideal = parse_ideal(tokens)
+        except ValueError as exc:
             raise CliError(EXIT_USAGE, f"bad ideal: {exc}")
     try:
         count = family_count(args.n, args.family, ideal)
@@ -178,6 +183,13 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need n >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcbricks",
@@ -186,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, perm=False):
-        p.add_argument("--n", type=int, required=True, help="rank (points are 1..n+1)")
+        p.add_argument(
+            "--n", type=positive_int, required=True, help="rank (points are 1..n+1)"
+        )
         if perm:
             p.add_argument("--perm", required=True, help='one-line word, e.g. "4312"')
         p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -46,8 +46,8 @@ def matmul(a: Matrix, b: Matrix, b_ncols: int | None = None) -> Matrix:
     When ``b`` has zero rows its column count is unrecoverable, so ``b_ncols``
     must supply it if the caller needs a correctly shaped (all-zero) result.
     """
-    if a and b:
-        assert len(a[0]) == len(b)
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"cannot multiply {len(a[0])} columns by {len(b)} rows")
     k = len(b)
     ncols = len(b[0]) if b else (b_ncols or 0)
     out = []

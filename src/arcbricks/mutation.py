@@ -27,7 +27,8 @@ from .arcs import (
     ColoredDiagram,
     double_diagram,
 )
-from .permutations import Permutation, all_permutations
+from .linalg import identity, mat, rank, solve_matrix
+from .permutations import Permutation, all_permutations, left_multiply_simple
 from .quiver import (
     Representation,
     arc_module,
@@ -146,30 +147,12 @@ def smc_axiom_check(members: TwoTermCollection, n: int) -> bool:
             return False
         if cm == 0 and ck == 1 and hom_dim(m, k) != 0:
             return False
-    signed = [
-        [d if c == 0 else -d for d in m.dims] for m, c in members
-    ]
-    return abs(_det(signed)) == 1
-
-
-def _det(rows: list[list[int]]) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in rows]
-    size = len(m)
-    det = Fraction(1)
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if m[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, size):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+    # An integer matrix is unimodular iff it is invertible with an integer inverse.
+    signed = mat([[d if c == 0 else -d for d in m.dims] for m, c in members])
+    if rank(signed) != n:
+        return False
+    inverse = solve_matrix(signed, identity(n))
+    return all(x.denominator == 1 for row in inverse for x in row)
 
 
 def smc_leq(lower: ColoredDiagram, upper: ColoredDiagram) -> bool:
@@ -354,7 +337,5 @@ def weak_order_hasse(n: int) -> tuple[list[Permutation], list[tuple[int, int, in
     for k, w in enumerate(perms):
         for i in range(1, n + 1):
             if w[i] > w[i + 1]:
-                word = list(w.word)
-                word[i - 1], word[i] = word[i], word[i - 1]
-                edges.append((k, index[tuple(word)], i))
+                edges.append((k, index[left_multiply_simple(i, w).word], i))
     return perms, edges

@@ -87,9 +87,6 @@ class Representation:
             raise ValueError(f"arrow {arrow_name(a)} outside the rank-{self.n} quiver")
         return self.maps[2 * (i - 1) + (0 if sign > 0 else 1)]
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def to_json(self) -> dict:
         return {
             "dims": list(self.dims),

@@ -39,10 +39,6 @@ class ArrowSequence:
             if i != self.start + k:
                 raise ValueError("letter indices must increase by one")
 
-    @property
-    def end_vertex(self) -> int:
-        return self.start + len(self.letters)
-
     def __str__(self) -> str:
         if not self.letters:
             return f"e{self.start}"

@@ -176,3 +176,19 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "hasse", "--n", "2", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("digraph mutation {")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("hasse --n 0", "need n >= 1"),
+        ("hasse --n -3", "need n >= 1"),
+        ("count --family custom --n 2 --ideal [1]", "list of strings"),
+        ("count --n 0", "need n >= 1"),
+        ("count --family custom --n 2 --ideal {}", "list of strings"),
+    ],
+)
+def test_bad_arguments_are_usage_errors(capsys, argv, message):
+    code, _, err = run(capsys, *argv.split())
+    assert code == 2
+    assert "error:" in err and message in err and "Traceback" not in err

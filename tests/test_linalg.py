@@ -61,3 +61,8 @@ def test_empty_shapes():
     assert matmul(zeros(2, 0), (), b_ncols=3) == zeros(2, 3)
     assert matsub(zeros(2, 2), zeros(2, 2)) == zeros(2, 2)
     assert transpose((), ncols=2) == ((), ())
+
+
+def test_matmul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        matmul(identity(2), identity(3))
