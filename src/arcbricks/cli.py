@@ -50,8 +50,13 @@ def _load_permutation(args) -> Permutation:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(
+                EXIT_USAGE, f"cannot write {out_path}: {exc.strerror or exc}"
+            )
     else:
         sys.stdout.write(text)
 

@@ -1,15 +1,20 @@
 """Small exact linear algebra over the rationals.
 
-Matrices are tuples of row tuples of ``fractions.Fraction``.  Everything here
-is sized for the tiny systems this package produces (a handful of rows and
-columns), so clarity and exactness win over vectorization.  An ``r x 0`` or
-``0 x c`` matrix is a legitimate value; it is represented by ``r`` empty rows
-plus an explicit column count where one is needed.
+Matrices are tuples of row tuples of ``fractions.Fraction`` (``int`` entries
+are accepted too).  Elimination is fraction-free: ``_echelon`` scales each row
+to integers by the lcm of its denominators, eliminates with integer row
+operations, and keeps every row primitive by dividing out the gcd of its
+entries.  ``Fraction``s are built only at the end, when a row is divided by
+its pivot, so the results are the unique reduced row echelon form and the
+canonical kernel basis it determines.  An ``r x 0`` or ``0 x c`` matrix is a
+legitimate value; it is represented by ``r`` empty rows plus an explicit
+column count where one is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -74,29 +79,54 @@ def transpose(m: Matrix, ncols: int | None = None) -> Matrix:
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(row) for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def _echelon(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination.
+
+    Returns integer rows, one per pivot, and their pivot columns.  Row ``r``
+    is nonzero in column ``pivots[r]`` and zero in every other pivot column,
+    so dividing it by that entry gives row ``r`` of the reduced row echelon
+    form.  Eliminating with pivot ``p`` replaces a row whose entry is ``f``
+    by ``p * row - f * prow`` and then divides it by its content.
+    """
+    rows = []
+    for row in m:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            rows.append(ints)
+    ncols = len(m[0]) if m else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
+        if r == len(rows):
+            break
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        rows[r], rows[k] = rows[k], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return rows[:r], pivots
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices."""
+    rows, pivots = _echelon(m)
+    ncols = len(m[0]) if m else 0
+    red = [
+        tuple(Fraction(x, row[p]) if x else ZERO for x in row)
+        for row, p in zip(rows, pivots)
+    ]
+    red += [(ZERO,) * ncols] * (len(m) - len(red))
+    return tuple(red), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -108,22 +138,25 @@ def nullspace(m: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]
 
     Each free column, in increasing index order, contributes one basis vector
     with a 1 in that coordinate; the result is the standard reduced echelon
-    parametrization, so callers get a deterministic basis.
+    parametrization, so callers get a deterministic basis.  The entries are
+    read straight from the integer rows of ``_echelon``.
     """
     n = ncols if ncols is not None else (len(m[0]) if m else 0)
     if not m or n == 0:
         return [
             tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)
         ]
-    red, pivots = rref(m)
+    rows, pivots = _echelon(m)
     pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivot_set:
+            continue
         vec = [ZERO] * n
         vec[f] = ONE
-        for r, p in enumerate(pivots):
-            vec[p] = -red[r][f]
+        for row, p in zip(rows, pivots):
+            if row[f]:
+                vec[p] = Fraction(-row[f], row[p])
         basis.append(tuple(vec))
     return basis
 

@@ -215,44 +215,50 @@ def hom_basis(source: Representation, target: Representation) -> tuple[Morphism,
 
     Unknowns are the entries of the per-vertex matrices, ordered by
     (vertex, row, column); one linear equation per arrow and entry of the
-    commuting square.  The reduced-echelon kernel basis fixes the output.
+    commuting square.  Equations are assembled sparsely, from the nonzero
+    entries of the two arrow matrices only, and equations that are
+    identically zero are never written.  The reduced-echelon kernel basis
+    fixes the output.
     """
-    n = source.n
-    offsets = {}
-    total = 0
-    for v in range(1, n + 1):
-        offsets[v] = total
-        total += target.dim(v) * source.dim(v)
-
-    def var(v: int, r: int, c: int) -> int:
-        return offsets[v] + r * source.dim(v) + c
+    sdims, tdims = source.dims, target.dims
+    offsets = [0]
+    for ds, dt in zip(sdims, tdims):
+        offsets.append(offsets[-1] + dt * ds)
+    total = offsets[-1]
 
     equations = []
-    for a in arrows(n):
-        s, t = arrow_source(a), arrow_target(a)
-        ms, mt = source.map(a), target.map(a)
-        # (phi_t @ ms - mt @ phi_s)[r][c] = 0
-        for r in range(target.dim(t)):
-            for c in range(source.dim(s)):
-                row = [linalg.ZERO] * total
-                for k in range(source.dim(t)):
-                    row[var(t, r, k)] += ms[k][c]
-                for k in range(target.dim(s)):
-                    row[var(s, k, c)] -= mt[r][k]
-                equations.append(tuple(row))
+    for a, ms, mt in zip(arrows(source.n), source.maps, target.maps):
+        s, t = arrow_source(a) - 1, arrow_target(a) - 1
+        rows_t, cols_s = tdims[t], sdims[s]
+        cols_t, rows_s = sdims[t], tdims[s]
+        if rows_t * cols_s == 0 or cols_t == rows_s == 0:
+            continue
+        # (phi_t @ ms - mt @ phi_s)[r][c] = 0: phi_t[r][k] has coefficient
+        # ms[k][c] and phi_s[k][c] has coefficient -mt[r][k].
+        ms_cols = [
+            [(k, ms[k][c]) for k in range(cols_t) if ms[k][c]] for c in range(cols_s)
+        ]
+        mt_rows = [[(k, -x) for k, x in enumerate(row) if x] for row in mt]
+        for r in range(rows_t):
+            for c in range(cols_s):
+                if not (ms_cols[c] or mt_rows[r]):
+                    continue
+                row = [0] * total
+                for k, x in ms_cols[c]:
+                    row[offsets[t] + r * cols_t + k] = x
+                for k, x in mt_rows[r]:
+                    row[offsets[s] + k * cols_s + c] = x
+                equations.append(row)
     basis = []
     for vec in linalg.nullspace(tuple(equations), ncols=total):
-        mats = []
-        for v in range(1, n + 1):
-            rows_v, cols_v = target.dim(v), source.dim(v)
-            base = offsets[v]
-            mats.append(
-                tuple(
-                    tuple(vec[base + r * cols_v + c] for c in range(cols_v))
-                    for r in range(rows_v)
-                )
+        mats = tuple(
+            tuple(
+                tuple(vec[base + r * cols_v + c] for c in range(cols_v))
+                for r in range(rows_v)
             )
-        basis.append(Morphism(source, target, tuple(mats)))
+            for base, rows_v, cols_v in zip(offsets, tdims, sdims)
+        )
+        basis.append(Morphism(source, target, mats))
     return tuple(basis)
 
 

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcbricks.cli import main
 
@@ -186,9 +192,86 @@ def test_out_file(tmp_path, capsys):
         ("count --family custom --n 2 --ideal [1]", "list of strings"),
         ("count --n 0", "need n >= 1"),
         ("count --family custom --n 2 --ideal {}", "list of strings"),
+        ("map --n 2 --perm 321 --out /nonexistent/x", "cannot write /nonexistent/x"),
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv.split())
     assert code == 2
     assert "error:" in err and message in err and "Traceback" not in err
+
+
+# Every flag each subcommand takes; the fuzz test drops some of them and adds
+# one that belongs elsewhere, so missing and foreign flags are exercised too.
+FUZZ_FLAGS = {
+    "map": ("--n", "--perm", "--format", "--out"),
+    "mutate": ("--n", "--perm", "--i", "--dir", "--format", "--out"),
+    "hasse": ("--n", "--format", "--out"),
+    "count": ("--n", "--family", "--ideal", "--format", "--out"),
+    "check": ("--suite", "--max-n", "--out"),
+    "render": ("--n", "--perm", "--format", "--out"),
+}
+FUZZ_FORMATS = {
+    "map": ("json", "text"),
+    "mutate": ("json", "text"),
+    "hasse": ("dot", "json"),
+    "count": ("text", "json"),
+    "render": ("svg", "tikz"),
+}
+# (valid values, bad values) per flag; a valid --perm is drawn to match --n
+# and a valid --format to suit the subcommand.
+FUZZ_VALUES = {
+    "--n": (("1", "2", "3", "4"), ("0", "-2", "x")),
+    "--perm": ((), ("21", "2413", "12", "1223", "abc", "")),
+    "--i": (("1", "2", "3", "4"), ("0", "5", "-1", "x")),
+    "--dir": (("left", "right"), ("up",)),
+    "--format": ((), ("csv",)),
+    "--family": (("nad", "rnad", "anad", "custom"), ("all",)),
+    "--ideal": (("[]", '["a1-"]', '["a1 a2", "a2-"]'), ('["a9"]', '["q"]', "[1]", "{}", "[")),
+    "--suite": (("all", "bijection", "homs", "mutation", "order", "quotients"), ("none",)),
+    # --max-n 4 (also check's default) re-runs whole sweeps, too slow to
+    # repeat, so the fuzz always passes --max-n to check and keeps to 1..3.
+    "--max-n": (("1", "2", "3"), ("0", "9")),
+    "--out": (("file",), ("missing",)),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = [f for f in FUZZ_FLAGS[command] if f == "--max-n" or draw(st.integers(0, 5))]
+    if "--out" in flags and draw(st.integers(0, 2)):
+        flags.remove("--out")
+    if draw(st.integers(0, 7)) == 0:
+        flags.append(draw(st.sampled_from(sorted(set(FUZZ_VALUES) - set(flags)))))
+    argv = [command]
+    for flag in flags:
+        valid, bad = FUZZ_VALUES[flag]
+        if flag == "--format":
+            valid = FUZZ_FORMATS.get(command, ())
+        if flag == "--perm" and "--n" in argv:
+            n = argv[argv.index("--n") + 1]
+            if n.isdigit() and int(n) >= 1:
+                valid = ("".join(map(str, draw(st.permutations(range(1, int(n) + 2))))),)
+        pool = valid if valid and draw(st.integers(0, 3)) else bad
+        argv += [flag, draw(st.sampled_from(pool))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fuzz_argv())
+def test_fuzzed_argv_exits_with_a_contract_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {
+            "missing": os.path.join(tmp, "missing", "out.txt"),
+            "file": os.path.join(tmp, "out.txt"),
+        }
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv = argv[:at] + [paths[argv[at]]] + argv[at + 1 :]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3, 4), argv
+    assert code != 1 or argv[0] == "check", argv
+    assert "Traceback" not in err.getvalue(), argv
