@@ -130,7 +130,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_echelon(m)[1])
 
 
 def nullspace(m: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
@@ -163,7 +163,7 @@ def nullspace(m: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]
 
 def column_space_basis(m: Matrix) -> Matrix:
     """Pivot columns of ``m``, as a matrix whose columns span the image."""
-    _, pivots = rref(m)
+    _, pivots = _echelon(m)
     return tuple(tuple(row[c] for c in pivots) for row in m)
 
 

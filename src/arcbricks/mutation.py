@@ -12,13 +12,16 @@ of ``s_i w``; that equality is the package's central cross-check, not an
 assumption of the implementation.  ``mutate_smc_collection`` is the
 independent module-level oracle: it mutates the image under ``psi`` using
 only hom/ext computations, extension-middle searches and kernel/cokernel
-constructions, never the half twist.
+constructions, never the half twist.  Each non-pivot member goes through
+``_mutate_member``, which is ``@cache``d on ``(module, shift, pivot)``: a
+member that recurs across collections is solved once, by the same route.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 
 from .arcs import (
     GREEN,
@@ -214,12 +217,8 @@ def _extension_middle(
 def mutate_smc_collection(members: TwoTermCollection, i: int) -> TwoTermCollection:
     """Module-level left mutation at position i (1-based).
 
-    The pivot must sit at shift 0 and moves to shift 1.  A shift-0 member
-    with a one-dimensional extension space against the pivot is replaced by
-    the extension middle; a shift-1 member with a one-dimensional hom space
-    to the pivot is replaced by the cokernel (shift 0) of that map when it
-    is injective, or by the kernel (shift 1) when it is surjective.  Members
-    with no approximation target are untouched.
+    The pivot must sit at shift 0 and moves to shift 1; every other member
+    is mutated against it by ``_mutate_member``.
     """
     members = tuple(members)
     if not 1 <= i <= len(members):
@@ -227,43 +226,46 @@ def mutate_smc_collection(members: TwoTermCollection, i: int) -> TwoTermCollecti
     pivot, pivot_shift = members[i - 1]
     if pivot_shift != 0:
         raise MutationError(f"member at position {i} sits at shift 1, need shift 0")
-    n = pivot.n
-    out = []
-    for j, (module, shift) in enumerate(members, start=1):
-        if j == i:
-            out.append((pivot, 1))
-            continue
-        if shift == 0:
-            d = ext1_dim(module, pivot)
-            if d == 0:
-                out.append((module, 0))
-            elif d == 1:
-                out.append((_extension_middle(pivot, module, n), 0))
-            else:
-                raise MutationError(
-                    f"extension space against the pivot has dimension {d}"
-                )
-        else:
-            d = hom_dim(module, pivot)
-            if d == 0:
-                out.append((module, 1))
-            elif d == 1:
-                f = hom_basis(module, pivot)[0]
-                if f.is_injective():
-                    _, _, cokernel = morphism_parts(f)
-                    out.append((cokernel, 0))
-                elif f.is_surjective():
-                    kernel, _, _ = morphism_parts(f)
-                    out.append((kernel, 1))
-                else:
-                    raise MutationError(
-                        "approximation map is neither injective nor surjective"
-                    )
-            else:
-                raise MutationError(
-                    f"hom space against the pivot has dimension {d}"
-                )
-    return tuple(out)
+    return tuple(
+        (pivot, 1) if j == i else _mutate_member(module, shift, pivot)
+        for j, (module, shift) in enumerate(members, start=1)
+    )
+
+
+@cache
+def _mutate_member(
+    module: Representation, shift: int, pivot: Representation
+) -> ShiftedModule:
+    """One non-pivot member after left mutation at a shift-0 pivot, computed
+    once per ``(module, shift, pivot)``.
+
+    A shift-0 member with a one-dimensional extension space against the
+    pivot is replaced by the extension middle; a shift-1 member with a
+    one-dimensional hom space to the pivot is replaced by the cokernel
+    (shift 0) of that map when it is injective, or by the kernel (shift 1)
+    when it is surjective.  Members with no approximation target are
+    untouched.
+    """
+    if shift == 0:
+        d = ext1_dim(module, pivot)
+        if d == 0:
+            return module, 0
+        if d == 1:
+            return _extension_middle(pivot, module, pivot.n), 0
+        raise MutationError(f"extension space against the pivot has dimension {d}")
+    d = hom_dim(module, pivot)
+    if d == 0:
+        return module, 1
+    if d != 1:
+        raise MutationError(f"hom space against the pivot has dimension {d}")
+    f = hom_basis(module, pivot)[0]
+    if f.is_injective():
+        _, _, cokernel = morphism_parts(f)
+        return cokernel, 0
+    if f.is_surjective():
+        kernel, _, _ = morphism_parts(f)
+        return kernel, 1
+    raise MutationError("approximation map is neither injective nor surjective")
 
 
 def collections_match(x: TwoTermCollection, y: TwoTermCollection) -> bool:

@@ -15,13 +15,19 @@ arrow carries the identity, above means the inverse one does.
 Hom spaces are computed by solving the commuting-square equations exactly;
 Ext^1 comes from the symmetric Euler-type form and is never computed any
 other way here.
+
+Three functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
+``hom_basis`` on the ``(source, target)`` pair of representations and
+``morphism_parts`` on the morphism.  A ``Representation`` computes its hash
+once and keeps it, so these keys hash their ``Fraction`` entries once per
+object, not once per lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from . import linalg
 from .arcs import Arc
@@ -77,6 +83,15 @@ class Representation:
                     f"matrix for {arrow_name(a)} has shape {(r, c)}, expected "
                     f"{(self.dim(arrow_target(a)), self.dim(arrow_source(a)))}"
                 )
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.dims, self.maps))
+
+    def __hash__(self) -> int:
+        """The dataclass field hash, computed on first use and kept; the
+        fields are frozen, so it cannot go stale."""
+        return self._hash
 
     def dim(self, v: int) -> int:
         return self.dims[v - 1]
@@ -285,8 +300,10 @@ def combine_morphisms(basis, coeffs) -> Morphism:
     return Morphism(first.source, first.target, tuple(mats))
 
 
+@cache
 def morphism_parts(f: Morphism) -> tuple[Representation, Representation, Representation]:
-    """Vertex-wise kernel, image and cokernel with their induced arrow maps."""
+    """Vertex-wise kernel, image and cokernel with their induced arrow maps,
+    computed once per morphism."""
     n = f.source.n
     ker_cols, im_cols, cok_rows = {}, {}, {}
     for v in range(1, n + 1):

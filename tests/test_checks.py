@@ -1,9 +1,12 @@
 """The criteria table: its names and suites, and that a broken route fails."""
 
 import arcbricks.checks as checks
+import arcbricks.mutation as mutation
+import arcbricks.quiver as quiver
+from arcbricks.arcs import double_diagram
 from arcbricks.checks import CRITERIA, run_criterion, run_suite
 from arcbricks.cli import main
-from arcbricks.permutations import weak_leq
+from arcbricks.permutations import all_permutations, descents, weak_leq
 from arcbricks.strings import graph_map_count
 
 
@@ -61,3 +64,44 @@ def test_check_command_exits_1_while_a_route_is_broken(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL graph-maps-equal-linear-algebra" in out
     assert out.endswith("CHECK FAILURES (1/2)\n")
+
+
+def test_clear_caches_empties_every_package_cache(clear_caches):
+    caches = (
+        quiver.hom_basis,
+        quiver.arc_module,
+        quiver.morphism_parts,
+        mutation._mutate_member,
+        checks._hom_table,
+    )
+    assert run_criterion(criterion("04"), max_n=1).passed
+    assert run_criterion(criterion("07"), max_n=3).passed
+    assert all(cached.cache_info().currsize for cached in caches)
+    clear_caches()
+    assert not any(cached.cache_info().currsize for cached in caches)
+
+
+def test_swapped_kernel_and_cokernel_fail_criterion_07(clear_caches, monkeypatch):
+    def swapped(f):
+        kernel, image, cokernel = quiver.morphism_parts(f)
+        return cokernel, image, kernel
+
+    monkeypatch.setattr(mutation, "morphism_parts", swapped)
+    result = run_criterion(criterion("07"), max_n=3)
+    assert not result.passed
+    assert result.counterexample.startswith("n=3 ")
+
+
+def test_module_mutation_is_the_same_cold_and_warm(clear_caches):
+    cases = [
+        (mutation.psi(double_diagram(w)), i)
+        for w in all_permutations(4)
+        for i in descents(w)
+    ]
+    assert len(cases) == 240
+    cold = []
+    for members, i in cases:
+        clear_caches()
+        cold.append(mutation.mutate_smc_collection(members, i))
+    warm = [mutation.mutate_smc_collection(members, i) for members, i in cases]
+    assert warm == cold

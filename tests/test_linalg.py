@@ -142,6 +142,7 @@ def test_rref_rank_nullspace_match_reference():
         assert (red, pivots) == reference_rref(m)
         assert all_fractions(red)
         assert rank(m) == len(pivots)
+        assert column_space_basis(m) == tuple(tuple(row[c] for c in pivots) for row in m)
         basis = nullspace(m)
         assert basis == reference_nullspace(m, ncols)
         assert all(all_fractions((vec,)) for vec in basis)

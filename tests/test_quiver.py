@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 from fractions import Fraction
@@ -254,3 +255,16 @@ def test_hom_bases_are_pinned():
                 digest.update(repr(b.mats).encode())
             digest.update(b"|")
     assert digest.hexdigest() == HOM_BASES_N4_SHA256
+
+
+def test_representation_hash_is_kept_and_agrees_with_equality():
+    for arc in enumerate_arcs(4):
+        built = arc_module(arc, 4)
+        parsed = representation_from_json(built.to_json(), 4)
+        assert parsed is not built
+        assert parsed == built
+        assert hash(parsed) == hash(built) == hash(built)
+        assert {built: arc}[parsed] == arc
+    assert [f.name for f in dataclasses.fields(built)] == ["n", "dims", "maps"]
+    assert repr(parsed) == repr(built)
+    assert "_hash" not in repr(built) and str(hash(built)) not in repr(built)
