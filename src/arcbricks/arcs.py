@@ -12,7 +12,9 @@ tests decide the noncrossing conditions:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cache
 
 from .permutations import (
     Permutation,
@@ -42,11 +44,6 @@ class Arc:
     def interior(self) -> range:
         return range(self.left + 1, self.right)
 
-    def side(self, m: int) -> str:
-        if m not in self.interior:
-            raise ValueError(f"{m} is not interior to {self}")
-        return "above" if m in self.above else "below"
-
     def sort_key(self) -> tuple[int, int, int]:
         mask = sum(1 << (m - self.left - 1) for m in self.above)
         return (self.left, self.right, mask)
@@ -65,53 +62,41 @@ def arc_from_json(data: dict) -> Arc:
     return Arc(data["left"], data["right"], frozenset(data.get("above", ())))
 
 
+def _height(arc: Arc, m: int) -> int:
+    """+1 where the arc passes above m, -1 below, 0 at an endpoint."""
+    if m == arc.left or m == arc.right:
+        return 0
+    return 1 if m in arc.above else -1
+
+
 def is_crossing(alpha: Arc, beta: Arc) -> bool:
     """Whether the two arcs must cross at a non-endpoint.
 
-    The relative vertical order is sampled at every integer point in the
-    closed overlap of the spans: an endpoint of one arc strictly inside the
-    other is ordered by the passing arc's side, interior points of both by
-    their sides when these differ, and shared endpoints give no information.
-    The arcs cross exactly when both orders occur.
+    Over the closed overlap of the spans, the height difference of the two
+    arcs orders them vertically wherever it is nonzero; a shared endpoint,
+    or an interior point both pass on the same side, gives no information.
+    The arcs cross exactly when the difference takes both signs.
     """
     if alpha == beta:
         raise ValueError("crossing test needs distinct arcs")
-    lo = max(alpha.left, beta.left)
-    hi = min(alpha.right, beta.right)
-    seen_plus = seen_minus = False
-    for m in range(lo, hi + 1):
-        a_end = m in (alpha.left, alpha.right)
-        b_end = m in (beta.left, beta.right)
-        if a_end and b_end:
-            continue
-        if a_end:
-            sign = 1 if beta.side(m) == "below" else -1
-        elif b_end:
-            sign = 1 if alpha.side(m) == "above" else -1
-        else:
-            sa, sb = alpha.side(m), beta.side(m)
-            if sa == sb:
-                continue
-            sign = 1 if sa == "above" else -1
-        if sign > 0:
-            seen_plus = True
-        else:
-            seen_minus = True
-        if seen_plus and seen_minus:
-            return True
+    signs = set()
+    for m in range(max(alpha.left, beta.left), min(alpha.right, beta.right) + 1):
+        diff = _height(alpha, m) - _height(beta, m)
+        if diff:
+            signs.add(diff > 0)
+            if len(signs) == 2:
+                return True
     return False
+
+
+def _compatible(a: Arc, b: Arc) -> bool:
+    """(nc1) and (nc2) for one pair: the arcs may share a diagram."""
+    return a.left != b.left and a.right != b.right and not is_crossing(a, b)
 
 
 def check_nad(arcs) -> bool:
     """(nc1) pairwise non-crossing and (nc2) no shared same-side endpoints."""
-    arcs = sorted(arcs, key=Arc.sort_key)
-    for i, a in enumerate(arcs):
-        for b in arcs[i + 1 :]:
-            if a.left == b.left or a.right == b.right:
-                return False
-            if is_crossing(a, b):
-                return False
-    return True
+    return all(_compatible(a, b) for a, b in itertools.combinations(arcs, 2))
 
 
 @dataclass(frozen=True)
@@ -251,17 +236,18 @@ def enumerate_arcs(n: int) -> list[Arc]:
     return out
 
 
-def _nad_compatibility(arcs: list[Arc]) -> list[int]:
-    """Bitmask per arc of the arcs it can share a noncrossing diagram with."""
+@cache
+def nad_table(n: int) -> tuple[tuple[Arc, ...], tuple[int, ...]]:
+    """The arcs on 1..n+1 and, per arc, the bitmask of the arcs it can share
+    a noncrossing diagram with: the compatibility graph whose cliques are
+    the noncrossing diagrams.  Built once per n."""
+    arcs = tuple(enumerate_arcs(n))
     masks = [0] * len(arcs)
-    for i, a in enumerate(arcs):
-        for j in range(i + 1, len(arcs)):
-            b = arcs[j]
-            if a.left == b.left or a.right == b.right or is_crossing(a, b):
-                continue
+    for (i, a), (j, b) in itertools.combinations(enumerate(arcs), 2):
+        if _compatible(a, b):
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-    return masks
+    return arcs, tuple(masks)
 
 
 def iter_compatible_index_sets(masks: list[int], allowed: int | None = None):
@@ -288,16 +274,7 @@ def iter_compatible_index_sets(masks: list[int], allowed: int | None = None):
         stack.extend(reversed(pending))
 
 
-def iter_nad_index_sets(arcs: list[Arc], allowed: int | None = None):
-    """Yield every noncrossing subset of ``arcs`` as a tuple of indices."""
-    yield from iter_compatible_index_sets(_nad_compatibility(arcs), allowed)
-
-
 def enumerate_nad(n: int) -> list[frozenset[Arc]]:
     """All noncrossing arc diagrams on 1..n+1, one per permutation."""
-    if n > ARC_ENUM_CAP:
-        raise ValueError(f"n={n} exceeds the enumeration cap {ARC_ENUM_CAP}")
-    arcs = enumerate_arcs(n)
-    return [
-        frozenset(arcs[j] for j in idx) for idx in iter_nad_index_sets(arcs)
-    ]
+    arcs, masks = nad_table(n)
+    return [frozenset(arcs[j] for j in idx) for idx in iter_compatible_index_sets(masks)]

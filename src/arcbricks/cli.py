@@ -163,7 +163,7 @@ def cmd_count(args) -> int:
 def cmd_check(args) -> int:
     if args.suite not in SUITES:
         raise CliError(EXIT_USAGE, f"unknown suite {args.suite!r}")
-    if not 1 <= args.max_n <= CHECK_CAP:
+    if args.max_n > CHECK_CAP:
         raise CliError(EXIT_CAP, f"check cap is 1 <= max-n <= {CHECK_CAP}")
     results = run_suite(args.suite, args.max_n)
     lines = [r.line() for r in results]
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="bijection|homs|mutation|order|quotients|all",
     )
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
+    p.add_argument("--max-n", type=positive_int, default=4, dest="max_n")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_check)
 

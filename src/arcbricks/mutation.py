@@ -273,7 +273,7 @@ def collections_match(x: TwoTermCollection, y: TwoTermCollection) -> bool:
     if len(x) != len(y):
         return False
     return all(
-        cx == cy and is_isomorphic(mx, my)
+        cx == cy and (mx == my or is_isomorphic(mx, my))
         for (mx, cx), (my, cy) in zip(x, y)
     )
 

@@ -118,21 +118,16 @@ def covers(w: Permutation, direction: str) -> list[Permutation]:
 
 
 def _transitive_closure(pairs: set[tuple[int, int]], n1: int) -> frozenset[tuple[int, int]]:
+    """Warshall's closure: one pass over the middle value b suffices."""
     closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for b in range(2, n1):
-            new = {
-                (a, c)
-                for a in range(1, b)
-                if (a, b) in closed
-                for c in range(b + 1, n1 + 1)
-                if (b, c) in closed and (a, c) not in closed
-            }
-            if new:
-                closed |= new
-                changed = True
+    for b in range(2, n1):
+        closed |= {
+            (a, c)
+            for a in range(1, b)
+            if (a, b) in closed
+            for c in range(b + 1, n1 + 1)
+            if (b, c) in closed
+        }
     return frozenset(closed)
 
 

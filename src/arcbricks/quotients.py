@@ -11,9 +11,10 @@ sides constant on each parity class and opposite between them).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arcs import Arc, enumerate_arcs, iter_nad_index_sets
+from .arcs import Arc, iter_compatible_index_sets, nad_table
 from .quiver import Arrow, arc_module, arrow_source, arrow_target, parse_arrow, path_action_is_zero
 
 Path = tuple[Arrow, ...]
@@ -88,8 +89,11 @@ def is_alternating_arc(arc: Arc) -> bool:
 FAMILIES = ("nad", "rnad", "anad")
 
 
-def _family_mask(n: int, family: str, ideal: MonomialIdealSpec | None) -> tuple[list[Arc], int]:
-    arcs = enumerate_arcs(n)
+def _family_index_sets(
+    n: int, family: str, ideal: MonomialIdealSpec | None
+) -> tuple[tuple[Arc, ...], Iterator[tuple[int, ...]]]:
+    """The arcs of ``nad_table(n)`` and the family's diagrams as index tuples."""
+    arcs, masks = nad_table(n)
     if family == "nad":
         keep = lambda arc: True
     elif family == "rnad":
@@ -102,22 +106,16 @@ def _family_mask(n: int, family: str, ideal: MonomialIdealSpec | None) -> tuple[
         keep = lambda arc: arc_killed_by(arc, ideal, n)
     else:
         raise ValueError(f"unknown family {family!r}")
-    mask = 0
-    for j, arc in enumerate(arcs):
-        if keep(arc):
-            mask |= 1 << j
-    return arcs, mask
+    allowed = sum(1 << j for j, arc in enumerate(arcs) if keep(arc))
+    return arcs, iter_compatible_index_sets(masks, allowed)
 
 
 def nad_ideal_filter(n: int, spec: MonomialIdealSpec) -> list[frozenset[Arc]]:
     """All noncrossing diagrams whose arc modules the ideal annihilates."""
-    arcs, mask = _family_mask(n, "custom", spec)
-    return [
-        frozenset(arcs[j] for j in idx)
-        for idx in iter_nad_index_sets(arcs, allowed=mask)
-    ]
+    arcs, index_sets = _family_index_sets(n, "custom", spec)
+    return [frozenset(arcs[j] for j in idx) for idx in index_sets]
 
 
 def family_count(n: int, family: str, ideal: MonomialIdealSpec | None = None) -> int:
-    arcs, mask = _family_mask(n, family, ideal)
-    return sum(1 for _ in iter_nad_index_sets(arcs, allowed=mask))
+    _, index_sets = _family_index_sets(n, family, ideal)
+    return sum(1 for _ in index_sets)

@@ -16,6 +16,7 @@ from arcbricks.arcs import (
     enumerate_arcs,
     enumerate_nad,
     is_crossing,
+    nad_table,
     restrict_green,
     restrict_red,
 )
@@ -26,6 +27,7 @@ from arcbricks.permutations import (
     identity_permutation,
     parse_permutation,
 )
+from arcbricks.quotients import FAMILIES, family_count, radical_square_ideal
 
 from expected_diagrams import DAD_RANK2, DAD_RANK3, EXAMPLE_53271468, G, R
 
@@ -46,8 +48,6 @@ def test_arc_validation():
         Arc(3, 2)
     with pytest.raises(ValueError):
         Arc(1, 3, frozenset({3}))
-    arc = Arc(1, 4, frozenset({2}))
-    assert arc.side(2) == "above" and arc.side(3) == "below"
 
 
 def test_arc_json_round_trip():
@@ -68,6 +68,60 @@ def test_is_crossing_symmetry():
     arcs = enumerate_arcs(3)
     for a, b in itertools.combinations(arcs, 2):
         assert is_crossing(a, b) == is_crossing(b, a)
+
+
+def reference_is_crossing(alpha, beta):
+    """The crossing test as three cases per point of the closed overlap: an
+    endpoint of one arc inside the other, or an interior point of both."""
+
+    def side(arc, m):
+        return "above" if m in arc.above else "below"
+
+    seen_plus = seen_minus = False
+    for m in range(max(alpha.left, beta.left), min(alpha.right, beta.right) + 1):
+        a_end = m in (alpha.left, alpha.right)
+        b_end = m in (beta.left, beta.right)
+        if a_end and b_end:
+            continue
+        if a_end:
+            sign = 1 if side(beta, m) == "below" else -1
+        elif b_end:
+            sign = 1 if side(alpha, m) == "above" else -1
+        else:
+            sa, sb = side(alpha, m), side(beta, m)
+            if sa == sb:
+                continue
+            sign = 1 if sa == "above" else -1
+        seen_plus = seen_plus or sign > 0
+        seen_minus = seen_minus or sign < 0
+    return seen_plus and seen_minus
+
+
+def test_is_crossing_matches_the_three_case_reference():
+    for n in range(1, 7):
+        for a, b in itertools.permutations(enumerate_arcs(n), 2):
+            assert is_crossing(a, b) == reference_is_crossing(a, b), (a, b)
+
+
+def test_nad_table_is_the_pairwise_check_nad_relation():
+    for n in range(1, 5):
+        arcs, masks = nad_table(n)
+        assert list(arcs) == enumerate_arcs(n)
+        for i, a in enumerate(arcs):
+            assert not masks[i] >> i & 1
+            for j, b in enumerate(arcs):
+                assert (masks[i] >> j & 1) == (masks[j] >> i & 1)
+                if i != j:
+                    assert bool(masks[i] >> j & 1) == check_nad([a, b]), (a, b)
+
+
+def test_nad_table_is_built_once_per_n(clear_caches):
+    assert len(enumerate_nad(5)) == math.factorial(6)
+    for family in FAMILIES:
+        family_count(5, family)
+    family_count(5, "custom", radical_square_ideal(5))
+    info = nad_table.cache_info()
+    assert (info.misses, info.hits) == (1, len(FAMILIES) + 1)
 
 
 def test_check_nad_examples():
@@ -129,6 +183,16 @@ def test_colored_diagram_rejects_crossing_entries():
             2,
             ((Arc(1, 3, frozenset({2})), G), (Arc(2, 3), R)),
         )
+    # chains into 1324 with matching colors; only the crossing rejects it
+    with pytest.raises(ValueError, match="cross"):
+        ColoredDiagram(3, ((Arc(1, 3), R), (Arc(2, 3), G), (Arc(2, 4), R)))
+
+
+def test_colored_diagram_rejects_broken_chains():
+    with pytest.raises(ValueError, match="do not chain"):
+        ColoredDiagram(2, ((Arc(1, 2), R), (Arc(1, 3), R)))
+    with pytest.raises(ValueError, match="contradicts"):
+        ColoredDiagram(2, ((Arc(1, 2), R), (Arc(2, 3), G)))
 
 
 def test_permutation_round_trip():

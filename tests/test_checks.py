@@ -1,5 +1,6 @@
 """The criteria table: its names and suites, and that a broken route fails."""
 
+import arcbricks.arcs as arcs
 import arcbricks.checks as checks
 import arcbricks.mutation as mutation
 import arcbricks.quiver as quiver
@@ -73,8 +74,10 @@ def test_clear_caches_empties_every_package_cache(clear_caches):
         quiver.morphism_parts,
         mutation._mutate_member,
         checks._hom_table,
+        arcs.nad_table,
     )
     assert run_criterion(criterion("04"), max_n=1).passed
+    assert run_criterion(criterion("10"), max_n=1).passed
     assert run_criterion(criterion("07"), max_n=3).passed
     assert all(cached.cache_info().currsize for cached in caches)
     clear_caches()

@@ -193,6 +193,8 @@ def test_out_file(tmp_path, capsys):
         ("count --n 0", "need n >= 1"),
         ("count --family custom --n 2 --ideal {}", "list of strings"),
         ("map --n 2 --perm 321 --out /nonexistent/x", "cannot write /nonexistent/x"),
+        ("check --max-n 0", "need n >= 1"),
+        ("check --max-n -2", "need n >= 1"),
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv, message):

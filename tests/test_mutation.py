@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,7 @@ from arcbricks.permutations import (
     parse_permutation,
     weak_leq,
 )
-from arcbricks.quiver import arc_module, simple_representation
+from arcbricks.quiver import arc_module, make_representation, simple_representation
 
 from expected_diagrams import MUTATION_EDGES_RANK3
 
@@ -202,6 +203,15 @@ def test_collections_match_is_shift_sensitive():
     assert collections_match(((s1, 0),), ((s1, 0),))
     assert not collections_match(((s1, 0),), ((s1, 1),))
     assert not collections_match(((s1, 0),), ((s1, 0), (s1, 1)))
+
+
+def test_collections_match_compares_modules_up_to_isomorphism():
+    module = arc_module(Arc(1, 3), 2)
+    rescaled = make_representation(2, (1, 1), {(1, 1): ((Fraction(2),),)})
+    other = arc_module(Arc(1, 3, frozenset({2})), 2)
+    assert rescaled != module and other.dims == module.dims
+    assert collections_match(((module, 0),), ((rescaled, 0),))
+    assert not collections_match(((module, 0),), ((other, 0),))
 
 
 def test_hasse_sizes():

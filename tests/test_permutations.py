@@ -124,6 +124,15 @@ def test_join_meet_are_lattice_operations():
                     assert weak_leq(z, m)
 
 
+def test_join_is_the_brute_force_least_upper_bound():
+    for n in (1, 2, 3):
+        inv = {z: inversions(z) for z in all_permutations(n)}
+        for u, w in itertools.product(inv, repeat=2):
+            uppers = [z for z in inv if inv[u] | inv[w] <= inv[z]]
+            least = [z for z in uppers if all(inv[z] <= inv[y] for y in uppers)]
+            assert least == [join(u, w)]
+
+
 def test_absorption_laws():
     for n in (3, 4):
         for u, w in itertools.product(all_permutations(n), repeat=2):
