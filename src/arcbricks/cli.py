@@ -13,11 +13,11 @@ import argparse
 import json
 import sys
 
-from .arcs import double_diagram
+from .arcs import ARC_ENUM_CAP, double_diagram
 from .checks import SUITES, run_suite
-from .mutation import MutationError, hasse_dot, hasse_json, mutate_dad, psi
+from .mutation import HASSE_CAP, MutationError, hasse_dot, hasse_json, mutate_dad, psi
 from .permutations import Permutation, left_multiply_simple, parse_permutation
-from .quotients import family_count, parse_ideal
+from .quotients import FAMILIES, family_count, parse_ideal
 from .render import render_svg, render_tikz
 
 EXIT_OK = 0
@@ -25,8 +25,6 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_CAP = 4
 
-HASSE_CAP = 6
-COUNT_CAP = 8
 CHECK_CAP = 5
 
 
@@ -39,7 +37,7 @@ class CliError(Exception):
 def _load_permutation(args) -> Permutation:
     try:
         w = parse_permutation(args.perm)
-    except (ValueError, AttributeError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(EXIT_USAGE, f"bad permutation: {exc}")
     if w.rank != args.n:
         raise CliError(
@@ -86,10 +84,8 @@ def cmd_map(args) -> int:
     w = _load_permutation(args)
     if args.format == "json":
         _emit(json.dumps(_diagram_json(w), indent=2) + "\n", args.out)
-    elif args.format == "text":
-        _emit(_diagram_text(w), args.out)
     else:
-        raise CliError(EXIT_USAGE, f"map does not support format {args.format}")
+        _emit(_diagram_text(w), args.out)
     return EXIT_OK
 
 
@@ -111,10 +107,8 @@ def cmd_mutate(args) -> int:
     data["permutation"] = str(moved)
     if args.format == "json":
         _emit(json.dumps(data, indent=2) + "\n", args.out)
-    elif args.format == "text":
-        _emit(_diagram_text(moved), args.out)
     else:
-        raise CliError(EXIT_USAGE, f"mutate does not support format {args.format}")
+        _emit(_diagram_text(moved), args.out)
     return EXIT_OK
 
 
@@ -123,16 +117,14 @@ def cmd_hasse(args) -> int:
         raise CliError(EXIT_CAP, f"hasse cap is n <= {HASSE_CAP}")
     if args.format == "dot":
         _emit(hasse_dot(args.n), args.out)
-    elif args.format == "json":
-        _emit(json.dumps(hasse_json(args.n), indent=2) + "\n", args.out)
     else:
-        raise CliError(EXIT_USAGE, f"hasse does not support format {args.format}")
+        _emit(json.dumps(hasse_json(args.n), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
-    if args.n > COUNT_CAP:
-        raise CliError(EXIT_CAP, f"count cap is n <= {COUNT_CAP}")
+    if args.n > ARC_ENUM_CAP:
+        raise CliError(EXIT_CAP, f"count cap is n <= {ARC_ENUM_CAP}")
     ideal = None
     if args.family == "custom":
         if not args.ideal:
@@ -181,10 +173,8 @@ def cmd_render(args) -> int:
     diagram = double_diagram(w)
     if args.format == "svg":
         _emit(render_svg(diagram), args.out)
-    elif args.format == "tikz":
-        _emit(render_tikz(diagram), args.out)
     else:
-        raise CliError(EXIT_USAGE, f"render does not support format {args.format}")
+        _emit(render_tikz(diagram), args.out)
     return EXIT_OK
 
 
@@ -229,9 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="diagram family sizes")
     common(p)
-    p.add_argument(
-        "--family", default="nad", choices=["nad", "rnad", "anad", "custom"]
-    )
+    p.add_argument("--family", default="nad", choices=[*FAMILIES, "custom"])
     p.add_argument("--ideal", default=None, help='JSON list like ["a1-","a2 a3"]')
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_count)

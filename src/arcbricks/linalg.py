@@ -38,13 +38,6 @@ def identity(size: int) -> Matrix:
     )
 
 
-def shape(m: Matrix, ncols: int | None = None) -> tuple[int, int]:
-    """(rows, cols); ``ncols`` disambiguates a matrix with zero rows."""
-    if m:
-        return len(m), len(m[0])
-    return 0, 0 if ncols is None else ncols
-
-
 def matmul(a: Matrix, b: Matrix, b_ncols: int | None = None) -> Matrix:
     """Product ``a @ b``.
 

@@ -135,10 +135,12 @@ def smc_axiom_check(members: TwoTermCollection, n: int) -> bool:
     """The four collection axioms, with the basis proxy for generation.
 
     sm1: every member is a brick.  sm2: homs between distinct same-shift
-    members vanish (shift 1 -> shift 0 is automatically zero).  sm3: homs of
-    underlying modules from shift-0 to shift-1 members vanish.  sm4 proxy:
-    the signed dimension vectors (+ at shift 0, - at shift 1) form a Z-basis
-    of Z^n.  The proxy is necessary, not known to be sufficient.
+    members vanish.  sm3: for a shift-0 member X and a shift-1 member Y,
+    Hom(X, Y[1][k]) vanishes in degrees k = -1 and k = 0 (Koenig-Yang), that
+    is Hom(X, Y) = 0 and Ext^1(X, Y) = 0; every such Hom from shift 1 to
+    shift 0 is automatically zero.  sm4 proxy: the signed dimension vectors
+    (+ at shift 0, - at shift 1) form a Z-basis of Z^n.  The proxy is
+    necessary, not known to be sufficient.
     """
     members = tuple(members)
     if len(members) != n:
@@ -146,9 +148,9 @@ def smc_axiom_check(members: TwoTermCollection, n: int) -> bool:
     if not all(is_brick(m) for m, _ in members):
         return False
     for (m, cm), (k, ck) in itertools.permutations(members, 2):
-        if cm == ck and hom_dim(m, k) != 0:
+        if cm <= ck and hom_dim(m, k) != 0:
             return False
-        if cm == 0 and ck == 1 and hom_dim(m, k) != 0:
+        if cm < ck and ext1_dim(m, k) != 0:
             return False
     # An integer matrix is unimodular iff it is invertible with an integer inverse.
     signed = mat([[d if c == 0 else -d for d in m.dims] for m, c in members])
@@ -181,11 +183,12 @@ def _injective_choices(basis, source: Representation):
 
 
 def _extension_middle(
-    pivot: Representation, neighbor: Representation, n: int
+    pivot: Representation, neighbor: Representation
 ) -> Representation:
     """The middle of the unique nonsplit extension of the neighbor by the
     pivot, located by searching arcs with the summed dimension vector for an
     embedded pivot with the right cokernel."""
+    n = pivot.n
     dims = tuple(p + q for p, q in zip(pivot.dims, neighbor.dims))
     support = [v for v in range(1, n + 1) if dims[v - 1]]
     if any(d > 1 for d in dims) or support != list(
@@ -251,7 +254,7 @@ def _mutate_member(
         if d == 0:
             return module, 0
         if d == 1:
-            return _extension_middle(pivot, module, pivot.n), 0
+            return _extension_middle(pivot, module), 0
         raise MutationError(f"extension space against the pivot has dimension {d}")
     d = hom_dim(module, pivot)
     if d == 0:
@@ -278,14 +281,17 @@ def collections_match(x: TwoTermCollection, y: TwoTermCollection) -> bool:
     )
 
 
-def hasse(n: int, cap: int = 6):
+HASSE_CAP = 6
+
+
+def hasse(n: int):
     """The left-mutation graph on all colored diagrams.
 
     Returns (diagrams, edges): diagrams sorted by their permutation word,
     and one edge (source_index, target_index, i) per green position i.
     """
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the mutation-graph cap {cap}")
+    if n > HASSE_CAP:
+        raise ValueError(f"n={n} exceeds the mutation-graph cap {HASSE_CAP}")
     perms = all_permutations(n)
     diagrams = [double_diagram(w) for w in perms]
     index = {d.permutation().word: k for k, d in enumerate(diagrams)}

@@ -44,9 +44,6 @@ class Permutation:
             return "".join(str(v) for v in self.word)
         return ",".join(str(v) for v in self.word)
 
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.word < other.word
-
 
 def parse_permutation(text: str) -> Permutation:
     """Parse "4312" (single digits) or "10,3,1,..." (comma separated)."""

@@ -77,11 +77,11 @@ class Representation:
         if len(self.maps) != len(arrs):
             raise ValueError("need one matrix per arrow")
         for a, m in zip(arrs, self.maps):
-            r, c = linalg.shape(m, self.dim(arrow_source(a)))
-            if (r, c) != (self.dim(arrow_target(a)), self.dim(arrow_source(a))):
+            expected = (self.dim(arrow_target(a)), self.dim(arrow_source(a)))
+            got = (len(m), len(m[0]) if m else expected[1])
+            if got != expected:
                 raise ValueError(
-                    f"matrix for {arrow_name(a)} has shape {(r, c)}, expected "
-                    f"{(self.dim(arrow_target(a)), self.dim(arrow_source(a)))}"
+                    f"matrix for {arrow_name(a)} has shape {got}, expected {expected}"
                 )
 
     @cached_property
@@ -114,16 +114,13 @@ class Representation:
 
 
 def representation_from_json(data: dict, n: int) -> Representation:
-    dims = tuple(data["dims"])
-    named = {name: m for name, m in data.get("arrows", {}).items()}
-    maps = []
-    for a in arrows(n):
-        raw = named.get(arrow_name(a))
-        if raw is None:
-            maps.append(linalg.zeros(dims[arrow_target(a) - 1], dims[arrow_source(a) - 1]))
-        else:
-            maps.append(tuple(tuple(Fraction(x) for x in row) for row in raw))
-    return Representation(n, dims, tuple(maps))
+    """Inverse of ``Representation.to_json``; a malformed arrow name raises
+    ``ValueError``."""
+    named = {
+        parse_arrow(name): tuple(tuple(Fraction(x) for x in row) for row in raw)
+        for name, raw in data.get("arrows", {}).items()
+    }
+    return make_representation(n, data["dims"], named)
 
 
 def make_representation(n: int, dims, named_maps: dict[Arrow, Matrix]) -> Representation:
@@ -394,14 +391,11 @@ def is_semibrick(reps) -> bool:
     return True
 
 
-def path_action_is_zero(rep: Representation, path, at_vertex: int | None = None) -> bool:
-    """Whether a composable arrow path acts as zero; an empty path is the
-    idempotent at ``at_vertex`` and acts as the identity there."""
+def path_action_is_zero(rep: Representation, path) -> bool:
+    """Whether a nonempty composable arrow path acts as zero."""
     path = list(path)
     if not path:
-        if at_vertex is None:
-            raise ValueError("empty path needs a vertex")
-        return rep.dim(at_vertex) == 0
+        raise ValueError("need a nonempty path")
     for prev, nxt in zip(path, path[1:]):
         if arrow_target(prev) != arrow_source(nxt):
             raise ValueError(

@@ -86,7 +86,7 @@ def is_alternating_arc(arc: Arc) -> bool:
     return True
 
 
-FAMILIES = ("nad", "rnad", "anad")
+FAMILIES = {"nad": lambda arc: True, "rnad": is_right_arc, "anad": is_alternating_arc}
 
 
 def _family_index_sets(
@@ -94,16 +94,12 @@ def _family_index_sets(
 ) -> tuple[tuple[Arc, ...], Iterator[tuple[int, ...]]]:
     """The arcs of ``nad_table(n)`` and the family's diagrams as index tuples."""
     arcs, masks = nad_table(n)
-    if family == "nad":
-        keep = lambda arc: True
-    elif family == "rnad":
-        keep = is_right_arc
-    elif family == "anad":
-        keep = is_alternating_arc
-    elif family == "custom":
+    if family == "custom":
         if ideal is None:
             raise ValueError("custom family needs an ideal")
         keep = lambda arc: arc_killed_by(arc, ideal, n)
+    elif family in FAMILIES:
+        keep = FAMILIES[family]
     else:
         raise ValueError(f"unknown family {family!r}")
     allowed = sum(1 << j for j, arc in enumerate(arcs) if keep(arc))

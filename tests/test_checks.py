@@ -59,6 +59,20 @@ def test_identity_mutation_fails_criterion_06(monkeypatch):
     assert not run_criterion(criterion("06"), max_n=3).passed
 
 
+def test_mutation_criteria_build_each_diagram_once(monkeypatch):
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return double_diagram(w)
+
+    monkeypatch.setattr(checks, "double_diagram", counting)
+    for number in ("06", "07"):
+        calls.clear()
+        assert list(criterion(number).cases(3))
+        assert sorted(calls, key=lambda w: w.word) == all_permutations(3)
+
+
 def test_check_command_exits_1_while_a_route_is_broken(monkeypatch, capsys):
     monkeypatch.setattr(checks, "graph_map_count", off_by_one)
     assert main(["check", "--suite", "homs", "--max-n", "3"]) == 1

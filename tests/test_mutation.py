@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from arcbricks.arcs import Arc, double_diagram
+from arcbricks.arcs import Arc, double_diagram, enumerate_arcs
 from arcbricks.mutation import (
     MutationError,
     collections_match,
@@ -150,6 +150,23 @@ def test_smc_axiom_check():
         ((s1, 0), (arc_module(Arc(1, 3), 2), 0)), 2
     )
     assert not smc_axiom_check(((s1, 0),), 2)  # wrong size
+    # Hom(S1, S2) = 0 but Ext^1(S1, S2) = 1: S1 and S2[1] fail the degree-0
+    # condition of a simple-minded collection.
+    s2 = arc_module(Arc(2, 3), 2)
+    assert not smc_axiom_check(((arc_module(Arc(1, 2), 2), 0), (s2, 1)), 2)
+
+
+@pytest.mark.parametrize("n,count", [(2, 6), (3, 24)])
+def test_smc_axiom_check_accepts_exactly_the_images_of_psi(n, count):
+    shifted = [(arc_module(a, n), c) for a in enumerate_arcs(n) for c in (0, 1)]
+    accepted = {
+        frozenset(members)
+        for members in itertools.combinations(shifted, n)
+        if smc_axiom_check(members, n)
+    }
+    images = {frozenset(psi(double_diagram(w))) for w in all_permutations(n)}
+    assert len(images) == count
+    assert accepted == images
 
 
 def test_smc_leq_examples():

@@ -170,9 +170,8 @@ def test_path_action_examples():
     assert not path_action_is_zero(rep, [(1, 1), (2, 1)])
     rep_up = arc_module(A13U, 2)
     assert path_action_is_zero(rep_up, [(1, 1), (1, -1)])
-    assert not path_action_is_zero(rep_up, [], at_vertex=1)
-    assert path_action_is_zero(rep_up, [], at_vertex=2) is False
-    assert path_action_is_zero(simple_representation(3, 1), [], at_vertex=2)
+    with pytest.raises(ValueError):
+        path_action_is_zero(rep_up, [])
     with pytest.raises(ValueError):
         path_action_is_zero(rep, [(1, 1), (1, 1)])
 
@@ -229,6 +228,13 @@ def test_representation_json_round_trip():
     )
     again = representation_from_json(halved.to_json(), 2)
     assert again.map((1, 1)) == ((Fraction(1, 2),),)
+
+
+def test_representation_from_json_rejects_bad_arrow_names():
+    data = arc_module(Arc(1, 3), 2).to_json()
+    data["arrows"]["b1"] = [["1"]]
+    with pytest.raises(ValueError, match="bad arrow name"):
+        representation_from_json(data, 2)
 
 
 def test_combine_morphisms():
