@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .permutations import (
     Permutation,
@@ -44,6 +44,14 @@ class Arc:
     def interior(self) -> range:
         return range(self.left + 1, self.right)
 
+    @cached_property
+    def point_masks(self) -> tuple[int, int]:
+        """(up, down): bit m set for each interior point m the arc passes
+        above, respectively below; the endpoints are in neither."""
+        up = sum(1 << m for m in self.above)
+        interior = (1 << self.right) - (2 << self.left)
+        return up, interior & ~up
+
     def sort_key(self) -> tuple[int, int, int]:
         mask = sum(1 << (m - self.left - 1) for m in self.above)
         return (self.left, self.right, mask)
@@ -62,31 +70,26 @@ def arc_from_json(data: dict) -> Arc:
     return Arc(data["left"], data["right"], frozenset(data.get("above", ())))
 
 
-def _height(arc: Arc, m: int) -> int:
-    """+1 where the arc passes above m, -1 below, 0 at an endpoint."""
-    if m == arc.left or m == arc.right:
-        return 0
-    return 1 if m in arc.above else -1
-
-
 def is_crossing(alpha: Arc, beta: Arc) -> bool:
     """Whether the two arcs must cross at a non-endpoint.
 
-    Over the closed overlap of the spans, the height difference of the two
-    arcs orders them vertically wherever it is nonzero; a shared endpoint,
-    or an interior point both pass on the same side, gives no information.
-    The arcs cross exactly when the difference takes both signs.
+    Over the closed overlap of the spans, alpha lies strictly higher at a
+    point where it passes above and beta does not, or where beta passes
+    below and alpha does not; a shared endpoint, or an interior point both
+    pass on the same side, gives no information.  The arcs cross exactly
+    when each lies higher somewhere.
     """
     if alpha == beta:
         raise ValueError("crossing test needs distinct arcs")
-    signs = set()
-    for m in range(max(alpha.left, beta.left), min(alpha.right, beta.right) + 1):
-        diff = _height(alpha, m) - _height(beta, m)
-        if diff:
-            signs.add(diff > 0)
-            if len(signs) == 2:
-                return True
-    return False
+    lo, hi = max(alpha.left, beta.left), min(alpha.right, beta.right)
+    if lo >= hi:
+        return False
+    overlap = (2 << hi) - (1 << lo)
+    a_up, a_down = alpha.point_masks
+    b_up, b_down = beta.point_masks
+    higher = (a_up & ~b_up) | (b_down & ~a_down)
+    lower = (b_up & ~a_up) | (a_down & ~b_down)
+    return bool(higher & overlap) and bool(lower & overlap)
 
 
 def _compatible(a: Arc, b: Arc) -> bool:
@@ -165,14 +168,25 @@ def double_diagram(w: Permutation) -> ColoredDiagram:
     sits at a position left of the pair, above when right of it.  Green marks
     descents.
     """
-    pos = w.positions
+    word = w.word
+    # later[i]: bit k set for each value k at a 0-based position >= i
+    later = [0] * (len(word) + 1)
+    for i in range(len(word) - 1, -1, -1):
+        later[i] = later[i + 1] | 1 << word[i]
     entries = []
-    for i in range(1, w.rank + 1):
-        a, b = w[i], w[i + 1]
+    for i in range(w.rank):
+        a, b = word[i], word[i + 1]
         p, q = min(a, b), max(a, b)
-        above = frozenset(k for k in range(p + 1, q) if pos[k] > i + 1)
-        entries.append((Arc(p, q, above), GREEN if a > b else RED))
+        above = later[i + 2] & ((1 << q) - (2 << p))
+        entries.append((_interned_arc(p, q, above), GREEN if a > b else RED))
     return ColoredDiagram(w.rank, tuple(entries))
+
+
+@cache
+def _interned_arc(left: int, right: int, above: int) -> Arc:
+    """One shared ``Arc`` per (left, right, above-point bits), so its point
+    masks are computed once."""
+    return Arc(left, right, frozenset(m for m in range(left + 1, right) if above >> m & 1))
 
 
 def restrict_green(diagram: ColoredDiagram) -> frozenset[Arc]:

@@ -29,6 +29,7 @@ from .arcs import (
     Arc,
     ColoredDiagram,
     double_diagram,
+    enumerate_arcs,
 )
 from .linalg import identity, mat, rank, solve_matrix
 from .permutations import Permutation, all_permutations, left_multiply_simple
@@ -160,16 +161,29 @@ def smc_axiom_check(members: TwoTermCollection, n: int) -> bool:
     return all(x.denominator == 1 for row in inverse for x in row)
 
 
+@cache
+def _graph_map_out_masks(n: int, count) -> tuple[dict[Arc, int], dict[Arc, int]]:
+    """Per arc on 1..n+1, its bit (its index in ``enumerate_arcs(n)``) and its
+    out-mask: the bits of the arcs it has a graph map to, by ``count``.
+
+    Keyed on the counting function as well as n, so a table built with one
+    ``graph_map_count`` is never read for another."""
+    arcs = enumerate_arcs(n)
+    bits = {a: 1 << j for j, a in enumerate(arcs)}
+    out = {a: sum(bits[b] for b in arcs if count(a, b) != 0) for a in arcs}
+    return bits, out
+
+
 def smc_leq(lower: ColoredDiagram, upper: ColoredDiagram) -> bool:
     """Order criterion: no graph map from a green arc of the lower diagram
     to a red arc of the upper one.  Must agree with the weak order."""
     if lower.n != upper.n:
         raise ValueError("rank mismatch")
-    return all(
-        graph_map_count(g, r) == 0
-        for g in lower.green_arcs()
-        for r in upper.red_arcs()
-    )
+    bits, out = _graph_map_out_masks(lower.n, graph_map_count)
+    reach = 0
+    for g in lower.green_arcs():
+        reach |= out[g]
+    return not any(reach & bits[r] for r in upper.red_arcs())
 
 
 def _injective_choices(basis, source: Representation):
@@ -294,7 +308,7 @@ def hasse(n: int):
         raise ValueError(f"n={n} exceeds the mutation-graph cap {HASSE_CAP}")
     perms = all_permutations(n)
     diagrams = [double_diagram(w) for w in perms]
-    index = {d.permutation().word: k for k, d in enumerate(diagrams)}
+    index = {w.word: k for k, w in enumerate(perms)}
     edges = []
     for k, diagram in enumerate(diagrams):
         for i in range(1, n + 1):

@@ -6,6 +6,10 @@ sets, where an inversion is a VALUE pair ``(a, b)`` with ``a < b`` and ``a``
 appearing after ``b`` in the word.  Covers swap adjacent positions, and the
 left action of the simple generator ``s_i`` swaps positions ``i`` and
 ``i + 1`` (1-based).
+
+On the hot paths an inversion set is a tuple of bitmask rows, one per value
+``a``, with bit ``b - 1`` set when ``(a, b)`` is an inversion: containment
+is ``x & ~y == 0`` row by row, and the join closes the OR of the rows.
 """
 
 from __future__ import annotations
@@ -31,9 +35,15 @@ class Permutation:
         return len(self.word) - 1
 
     @cached_property
-    def positions(self) -> dict[int, int]:
-        """value -> 1-based position in the word."""
-        return {v: i for i, v in enumerate(self.word, start=1)}
+    def inversion_rows(self) -> tuple[int, ...]:
+        """Row a - 1 has bit b - 1 set when (a, b) is an inversion: the
+        larger values seen before a in a left-to-right scan."""
+        rows = [0] * len(self.word)
+        seen = 0
+        for v in self.word:
+            rows[v - 1] = seen >> v << v
+            seen |= 1 << (v - 1)
+        return tuple(rows)
 
     def __getitem__(self, i: int) -> int:
         """1-based entry access: w[i] = w_i."""
@@ -72,20 +82,19 @@ def all_permutations(n: int) -> list[Permutation]:
 
 def inversions(w: Permutation) -> InversionSet:
     """Value pairs (a, b), a < b, with a appearing after b in the word."""
-    pos = w.positions
     n1 = len(w.word)
     return frozenset(
         (a, b)
-        for a in range(1, n1)
+        for a, row in enumerate(w.inversion_rows, start=1)
         for b in range(a + 1, n1 + 1)
-        if pos[a] > pos[b]
+        if row >> (b - 1) & 1
     )
 
 
 def weak_leq(u: Permutation, w: Permutation) -> bool:
     if u.rank != w.rank:
         raise ValueError("rank mismatch")
-    return inversions(u) <= inversions(w)
+    return not any(x & ~y for x, y in zip(u.inversion_rows, w.inversion_rows))
 
 
 def descents(w: Permutation) -> list[int]:
@@ -114,50 +123,59 @@ def covers(w: Permutation, direction: str) -> list[Permutation]:
     return out
 
 
-def _transitive_closure(pairs: set[tuple[int, int]], n1: int) -> frozenset[tuple[int, int]]:
-    """Warshall's closure: one pass over the middle value b suffices."""
-    closed = set(pairs)
-    for b in range(2, n1):
-        closed |= {
-            (a, c)
-            for a in range(1, b)
-            if (a, b) in closed
-            for c in range(b + 1, n1 + 1)
-            if (b, c) in closed
-        }
-    return frozenset(closed)
+def _from_rows(rows: list[int]) -> Permutation:
+    """The unique permutation with the given inversion rows.
 
-
-def from_inversions(pairs: InversionSet, n: int) -> Permutation:
-    """The unique permutation with the given inversion set.
-
-    A value u precedes v (for u < v) exactly when (u, v) is not an inversion;
-    the candidate word built from that comparison is validated against the
-    input, which rejects non-biclosed sets such as {(1, 3)}.
+    The values before v in the word are the smaller u with (u, v) not an
+    inversion and the larger b with (v, b) one, so v sits at position
+    v - #{u < v : (u, v) inverted} + popcount(row v).  The word is then
+    validated against the rows, which rejects non-biclosed sets such as
+    {(1, 3)}.
     """
-    n1 = n + 1
-    position = {}
-    for v in range(1, n1 + 1):
-        ahead = sum(1 for u in range(1, v) if (u, v) not in pairs)
-        ahead += sum(1 for u in range(v + 1, n1 + 1) if (v, u) in pairs)
-        position[v] = ahead + 1
+    n1 = len(rows)
     word = [0] * n1
-    for v, p in position.items():
-        if not 1 <= p <= n1 or word[p - 1]:
+    for v in range(1, n1 + 1):
+        bit = 1 << (v - 1)
+        inverted_below = sum(1 for row in rows[: v - 1] if row & bit)
+        p = v - inverted_below + rows[v - 1].bit_count()
+        if word[p - 1]:
             raise ValueError("inversion set is not biclosed")
         word[p - 1] = v
     w = Permutation(tuple(word))
-    if inversions(w) != frozenset(pairs):
+    if w.inversion_rows != tuple(rows):
         raise ValueError("inversion set is not biclosed")
     return w
 
 
+def from_inversions(pairs: InversionSet, n: int) -> Permutation:
+    """The unique permutation with the given inversion set; a set that is
+    not biclosed raises ``ValueError``."""
+    n1 = n + 1
+    rows = [0] * n1
+    for a, b in pairs:
+        if not 1 <= a < b <= n1:
+            raise ValueError("inversion set is not biclosed")
+        rows[a - 1] |= 1 << (b - 1)
+    return _from_rows(rows)
+
+
 def join(u: Permutation, w: Permutation) -> Permutation:
-    """Lattice join: transitive closure of the union of inversion sets."""
+    """Lattice join: transitive closure of the union of inversion sets.
+
+    Warshall over the rows, one pass over the middle value: every row of a
+    smaller value that holds the middle value's bit absorbs the middle row.
+    """
     if u.rank != w.rank:
         raise ValueError("rank mismatch")
-    closed = _transitive_closure(set(inversions(u) | inversions(w)), len(u.word))
-    return from_inversions(closed, u.rank)
+    rows = [x | y for x, y in zip(u.inversion_rows, w.inversion_rows)]
+    for b in range(1, len(rows)):
+        row_b = rows[b]
+        if row_b:
+            bit = 1 << b
+            for a in range(b):
+                if rows[a] & bit:
+                    rows[a] |= row_b
+    return _from_rows(rows)
 
 
 def complement(w: Permutation) -> Permutation:

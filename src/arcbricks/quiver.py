@@ -124,10 +124,16 @@ def representation_from_json(data: dict, n: int) -> Representation:
 
 
 def make_representation(n: int, dims, named_maps: dict[Arrow, Matrix]) -> Representation:
-    """Build a representation from the nonzero maps; the rest are zero."""
+    """Build a representation from the nonzero maps; the rest are zero.  A
+    map on an arrow outside the rank-n quiver raises ``ValueError``."""
     dims = tuple(dims)
+    quiver_arrows = arrows(n)
+    stray = set(named_maps).difference(quiver_arrows)
+    if stray:
+        names = ", ".join(sorted(arrow_name(a) for a in stray))
+        raise ValueError(f"arrows {names} outside the rank-{n} quiver")
     maps = []
-    for a in arrows(n):
+    for a in quiver_arrows:
         m = named_maps.get(a)
         if m is None:
             m = linalg.zeros(dims[arrow_target(a) - 1], dims[arrow_source(a) - 1])

@@ -98,7 +98,7 @@ def reference_is_crossing(alpha, beta):
 
 
 def test_is_crossing_matches_the_three_case_reference():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for a, b in itertools.permutations(enumerate_arcs(n), 2):
             assert is_crossing(a, b) == reference_is_crossing(a, b), (a, b)
 
@@ -150,6 +150,26 @@ def test_double_diagram_rank2(word, expected):
 def test_double_diagram_rank3(word, expected):
     d = double_diagram(P(word))
     assert entries_of(d) == [(l, r, tuple(ab), c) for l, r, ab, c in expected]
+
+
+def test_double_diagram_matches_the_per_point_construction():
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            pos = {v: i for i, v in enumerate(w.word, start=1)}
+            entries = []
+            for i in range(1, n + 1):
+                a, b = w[i], w[i + 1]
+                p, q = min(a, b), max(a, b)
+                above = frozenset(k for k in range(p + 1, q) if pos[k] > i + 1)
+                entries.append((Arc(p, q, above), G if a > b else R))
+            assert double_diagram(w).entries == tuple(entries)
+
+
+def test_double_diagrams_share_their_arcs():
+    first = double_diagram(parse_permutation("2143"))
+    second = double_diagram(parse_permutation("3421"))
+    assert first.arc(1) == second.arc(3) == Arc(1, 2)
+    assert first.arc(1) is second.arc(3)
 
 
 def test_identity_diagram_is_red_chain():

@@ -54,6 +54,16 @@ def test_negated_weak_order_fails_criterion_08(monkeypatch):
     assert not run_criterion(criterion("08"), max_n=3).passed
 
 
+def test_wrong_graph_map_count_fails_criterion_08_after_a_warm_run(monkeypatch):
+    # The out-mask table is cached per n; a count patched in after a run
+    # that warmed it must still be the one smc_leq uses.
+    assert run_criterion(criterion("08"), max_n=3).passed
+    monkeypatch.setattr(mutation, "graph_map_count", off_by_one)
+    result = run_criterion(criterion("08"), max_n=3)
+    assert not result.passed
+    assert result.counterexample.startswith("n=3 ")
+
+
 def test_identity_mutation_fails_criterion_06(monkeypatch):
     monkeypatch.setattr(checks, "mutate_dad", lambda diagram, i, direction: diagram)
     assert not run_criterion(criterion("06"), max_n=3).passed
@@ -89,8 +99,11 @@ def test_clear_caches_empties_every_package_cache(clear_caches):
         mutation._mutate_member,
         checks._hom_table,
         arcs.nad_table,
+        arcs._interned_arc,
+        mutation._graph_map_out_masks,
     )
     assert run_criterion(criterion("04"), max_n=1).passed
+    assert run_criterion(criterion("08"), max_n=3).passed
     assert run_criterion(criterion("10"), max_n=1).passed
     assert run_criterion(criterion("07"), max_n=3).passed
     assert all(cached.cache_info().currsize for cached in caches)

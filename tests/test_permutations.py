@@ -26,6 +26,40 @@ def P(text):
     return parse_permutation(text)
 
 
+def reference_from_inversions(pairs, n):
+    """The word read off a frozenset of inversions, validated against it."""
+    n1 = n + 1
+    position = {}
+    for v in range(1, n1 + 1):
+        ahead = sum(1 for u in range(1, v) if (u, v) not in pairs)
+        ahead += sum(1 for u in range(v + 1, n1 + 1) if (v, u) in pairs)
+        position[v] = ahead + 1
+    word = [0] * n1
+    for v, p in position.items():
+        if not 1 <= p <= n1 or word[p - 1]:
+            raise ValueError("inversion set is not biclosed")
+        word[p - 1] = v
+    w = Permutation(tuple(word))
+    if inversions(w) != frozenset(pairs):
+        raise ValueError("inversion set is not biclosed")
+    return w
+
+
+def reference_join(u, w):
+    """Join by a frozenset Warshall closure of the union of inversion sets."""
+    n1 = len(u.word)
+    closed = set(inversions(u) | inversions(w))
+    for b in range(2, n1):
+        closed |= {
+            (a, c)
+            for a in range(1, b)
+            if (a, b) in closed
+            for c in range(b + 1, n1 + 1)
+            if (b, c) in closed
+        }
+    return reference_from_inversions(frozenset(closed), u.rank)
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
@@ -55,6 +89,19 @@ def test_inversion_count_is_length():
             if w.word[i] > w.word[j]
         )
         assert len(inversions(w)) == brute
+
+
+def test_inversions_match_a_position_scan():
+    # direct pair-scan oracle: the out-of-order value pairs of the word
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            pos = {v: i for i, v in enumerate(w.word)}
+            brute = {
+                (a, b)
+                for a, b in itertools.combinations(range(1, n + 2), 2)
+                if pos[a] > pos[b]
+            }
+            assert inversions(w) == brute
 
 
 def test_weak_leq_examples():
@@ -133,6 +180,19 @@ def test_join_is_the_brute_force_least_upper_bound():
             assert least == [join(u, w)]
 
 
+def test_bitmask_order_matches_the_frozenset_reference():
+    for n in range(1, 5):
+        perms = all_permutations(n)
+        inv = {w: inversions(w) for w in perms}
+        for u, w in itertools.product(perms, repeat=2):
+            assert join(u, w) == reference_join(u, w)
+            reference_meet = complement(
+                reference_join(complement(u), complement(w))
+            )
+            assert meet(u, w) == reference_meet
+            assert weak_leq(u, w) == (inv[u] <= inv[w])
+
+
 def test_absorption_laws():
     for n in (3, 4):
         for u, w in itertools.product(all_permutations(n), repeat=2):
@@ -145,6 +205,28 @@ def test_from_inversions_examples():
     assert from_inversions(frozenset(), 2) == P("123")
     with pytest.raises(ValueError):
         from_inversions({(1, 3)}, 2)
+
+
+def test_from_inversions_accepts_exactly_the_biclosed_sets():
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    biclosed = {inversions(w): w for w in all_permutations(3)}
+    accepted = rejected = 0
+    for k in range(len(pairs) + 1):
+        for subset in map(frozenset, itertools.combinations(pairs, k)):
+            if subset in biclosed:
+                assert from_inversions(subset, 3) == biclosed[subset]
+                accepted += 1
+            else:
+                with pytest.raises(ValueError, match="not biclosed"):
+                    from_inversions(subset, 3)
+                rejected += 1
+    assert (accepted, rejected) == (24, 40)
+
+
+def test_from_inversions_rejects_pairs_outside_the_range():
+    for pairs in ({(0, 1)}, {(2, 1)}, {(1, 4)}):
+        with pytest.raises(ValueError, match="not biclosed"):
+            from_inversions(pairs, 2)
 
 
 def test_from_inversions_round_trip_small():

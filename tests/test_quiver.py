@@ -237,6 +237,13 @@ def test_representation_from_json_rejects_bad_arrow_names():
         representation_from_json(data, 2)
 
 
+def test_maps_on_arrows_outside_the_quiver_are_rejected():
+    with pytest.raises(ValueError, match="a5 outside the rank-2 quiver"):
+        make_representation(2, (1, 1), {(5, 1): ((1,),)})
+    with pytest.raises(ValueError, match="a9 outside the rank-2 quiver"):
+        representation_from_json({"dims": [1, 1], "arrows": {"a9": [["1"]]}}, 2)
+
+
 def test_combine_morphisms():
     m = arc_module(A13U, 2)
     basis = hom_basis(m, m)
