@@ -2,9 +2,10 @@
 
 An arc joins ``left < right`` and records, for every strictly interior
 point, whether it passes above or below; that data is a complete isotopy
-invariant.  ``double_diagram`` builds the n-entry colored diagram of a
-permutation (green entry = descent, red = ascent), and crossing / diagram
-tests decide the noncrossing conditions:
+invariant.  ``double_diagram`` builds the n-entry colored diagram D_w of a
+permutation (green entry = descent, red = ascent); a ``ColoredDiagram`` is
+valid exactly when it is D_w for the word its endpoint chain spells.  The
+crossing and diagram tests decide the noncrossing conditions on arc sets:
 
   (nc1)  no two arcs cross at a non-endpoint,
   (nc2)  no two arcs share a left endpoint or share a right endpoint.
@@ -104,7 +105,9 @@ def check_nad(arcs) -> bool:
 
 @dataclass(frozen=True)
 class ColoredDiagram:
-    """Position-indexed arcs with colors; entry i comes from the pair (w_i, w_{i+1})."""
+    """The diagram D_w: entry i is the arc of the pair (w_i, w_{i+1}), green
+    at a descent.  The constructor reads w off the endpoint chain and accepts
+    only the entries of D_w, so the arcs never cross; ``permutation()`` is w."""
 
     n: int
     entries: tuple[tuple[Arc, str], ...]
@@ -117,11 +120,18 @@ class ColoredDiagram:
                 raise ValueError(f"bad color {color!r}")
             if arc.right > self.n + 1:
                 raise ValueError(f"{arc} escapes the point range 1..{self.n + 1}")
-        for i, (a, _) in enumerate(self.entries):
-            for b, _ in self.entries[i + 1 :]:
-                if a != b and is_crossing(a, b):
-                    raise ValueError(f"{a} and {b} cross")
-        self.permutation()  # chain and color consistency
+        first, color = self.entries[0]
+        word = [first.right if color == GREEN else first.left]
+        for i, (arc, color) in enumerate(self.entries, start=1):
+            if word[-1] not in (arc.left, arc.right):
+                raise ValueError("entries do not chain into a permutation")
+            word.append(arc.left + arc.right - word[-1])
+            if (word[-2] > word[-1]) != (color == GREEN):
+                raise ValueError(f"color at position {i} contradicts the word")
+        w = Permutation(tuple(word))
+        if self.entries != _entries(w):
+            raise ValueError(f"entries are not the diagram of {w}")
+        object.__setattr__(self, "_permutation", w)
 
     def arc(self, i: int) -> Arc:
         return self.entries[i - 1][0]
@@ -130,20 +140,7 @@ class ColoredDiagram:
         return self.entries[i - 1][1]
 
     def permutation(self) -> Permutation:
-        """Recover w by walking the endpoint chain, orienting by the colors."""
-        pairs = [{arc.left, arc.right} for arc, _ in self.entries]
-        first_green = self.entries[0][1] == GREEN
-        word = [max(pairs[0]) if first_green else min(pairs[0])]
-        word.append((pairs[0] - {word[0]}).pop())
-        for i in range(2, self.n + 1):
-            if word[-1] not in pairs[i - 1]:
-                raise ValueError("entries do not chain into a permutation")
-            nxt = (pairs[i - 1] - {word[-1]}).pop()
-            descending = word[-1] > nxt
-            if descending != (self.entries[i - 1][1] == GREEN):
-                raise ValueError(f"color at position {i} contradicts the word")
-            word.append(nxt)
-        return Permutation(tuple(word))
+        return self._permutation
 
     def green_arcs(self) -> list[Arc]:
         return [arc for arc, color in self.entries if color == GREEN]
@@ -161,13 +158,10 @@ class ColoredDiagram:
         }
 
 
-def double_diagram(w: Permutation) -> ColoredDiagram:
-    """The colored diagram of w.
-
-    Entry i joins w_i and w_{i+1}; an interior value k passes below when it
-    sits at a position left of the pair, above when right of it.  Green marks
-    descents.
-    """
+def _entries(w: Permutation) -> tuple[tuple[Arc, str], ...]:
+    """The entries of D_w: entry i joins w_i and w_{i+1}; an interior value k
+    passes below when it sits at a position left of the pair, above when
+    right of it.  Green marks descents."""
     word = w.word
     # later[i]: bit k set for each value k at a 0-based position >= i
     later = [0] * (len(word) + 1)
@@ -179,7 +173,12 @@ def double_diagram(w: Permutation) -> ColoredDiagram:
         p, q = min(a, b), max(a, b)
         above = later[i + 2] & ((1 << q) - (2 << p))
         entries.append((_interned_arc(p, q, above), GREEN if a > b else RED))
-    return ColoredDiagram(w.rank, tuple(entries))
+    return tuple(entries)
+
+
+def double_diagram(w: Permutation) -> ColoredDiagram:
+    """The colored diagram D_w of w."""
+    return ColoredDiagram(w.rank, _entries(w))
 
 
 @cache
@@ -190,17 +189,11 @@ def _interned_arc(left: int, right: int, above: int) -> Arc:
 
 
 def restrict_green(diagram: ColoredDiagram) -> frozenset[Arc]:
-    arcs = frozenset(diagram.green_arcs())
-    if not check_nad(arcs):
-        raise ValueError(f"green arcs of {diagram} are not a noncrossing diagram")
-    return arcs
+    return frozenset(diagram.green_arcs())
 
 
 def restrict_red(diagram: ColoredDiagram) -> frozenset[Arc]:
-    arcs = frozenset(diagram.red_arcs())
-    if not check_nad(arcs):
-        raise ValueError(f"red arcs of {diagram} are not a noncrossing diagram")
-    return arcs
+    return frozenset(diagram.red_arcs())
 
 
 def arc_to_join_irreducible(arc: Arc, n: int) -> Permutation:

@@ -96,6 +96,8 @@ def cmd_mutate(args) -> int:
         mutated = mutate_dad(diagram, args.i, args.dir)
     except MutationError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
+    except ValueError:  # the half twists spelled no diagram D_w at all
+        mutated = None
     moved = left_multiply_simple(args.i, w)
     if mutated != double_diagram(moved):
         raise CliError(

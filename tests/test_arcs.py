@@ -203,9 +203,22 @@ def test_colored_diagram_rejects_crossing_entries():
             2,
             ((Arc(1, 3, frozenset({2})), G), (Arc(2, 3), R)),
         )
-    # chains into 1324 with matching colors; only the crossing rejects it
-    with pytest.raises(ValueError, match="cross"):
+    # chains into 1324 with matching colors, but D_1324 passes above 2
+    with pytest.raises(ValueError, match="not the diagram of 1324"):
         ColoredDiagram(3, ((Arc(1, 3), R), (Arc(2, 3), G), (Arc(2, 4), R)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_colored_diagram_accepts_exactly_the_diagrams_of_words(n):
+    accepted = set()
+    for arcs in itertools.product(enumerate_arcs(n), repeat=n):
+        for colors in itertools.product((G, R), repeat=n):
+            try:
+                accepted.add(ColoredDiagram(n, tuple(zip(arcs, colors))))
+            except ValueError:
+                pass
+    assert len(accepted) == math.factorial(n + 1)
+    assert accepted == {double_diagram(w) for w in all_permutations(n)}
 
 
 def test_colored_diagram_rejects_broken_chains():

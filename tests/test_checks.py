@@ -83,6 +83,31 @@ def test_mutation_criteria_build_each_diagram_once(monkeypatch):
         assert sorted(calls, key=lambda w: w.word) == all_permutations(3)
 
 
+HALF_TWIST = mutation.half_twist
+
+
+def flipped_half_twist(pivot, other, twist="left"):
+    return HALF_TWIST(pivot, other, "right" if twist == "left" else "left")
+
+
+def test_a_route_that_raises_fails_its_rank(monkeypatch, capsys):
+    # A flipped twist puts the shared point on the wrong side, so the
+    # mutated entries are no diagram D_w and the constructor raises.
+    monkeypatch.setattr(mutation, "half_twist", flipped_half_twist)
+    result = run_criterion(criterion("06"), max_n=3)
+    assert not result.passed
+    assert result.counterexample.startswith("n=3 raised ValueError: ")
+    result = run_criterion(criterion("11"), max_n=3)
+    assert not result.passed
+    assert result.counterexample.startswith("n=2 raised ValueError: ")
+    assert result.detail.endswith("over n=2..3; 2 failure(s)")
+    assert main(["check", "--suite", "mutation", "--max-n", "3"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "FAIL mutation-compatibility: 0 cases at n=3; 1 failure(s)\n"
+        "     counterexample: n=3 raised ValueError: "
+    )
+
+
 def test_check_command_exits_1_while_a_route_is_broken(monkeypatch, capsys):
     monkeypatch.setattr(checks, "graph_map_count", off_by_one)
     assert main(["check", "--suite", "homs", "--max-n", "3"]) == 1

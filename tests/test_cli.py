@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arcbricks.mutation as mutation
 from arcbricks.cli import main
 
 
@@ -94,6 +95,20 @@ def test_mutate_color_mismatch_exit(capsys):
     )
     assert code == 3
     assert "green" in err
+
+
+def test_mutate_exits_3_when_the_half_twists_spell_no_diagram(monkeypatch, capsys):
+    half_twist = mutation.half_twist
+
+    def flipped(pivot, other, twist="left"):
+        return half_twist(pivot, other, "right" if twist == "left" else "left")
+
+    monkeypatch.setattr(mutation, "half_twist", flipped)
+    code, out, err = run(
+        capsys, "mutate", "--n", "3", "--perm", "1243", "--i", "2", "--dir", "right"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: internal cross-check failed: mutation at 2 ")
 
 
 def test_hasse_dot(capsys):
