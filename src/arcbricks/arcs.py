@@ -2,10 +2,13 @@
 
 An arc joins ``left < right`` and records, for every strictly interior
 point, whether it passes above or below; that data is a complete isotopy
-invariant.  ``double_diagram`` builds the n-entry colored diagram D_w of a
-permutation (green entry = descent, red = ascent); a ``ColoredDiagram`` is
-valid exactly when it is D_w for the word its endpoint chain spells.  The
-crossing and diagram tests decide the noncrossing conditions on arc sets:
+invariant.  A ``ColoredDiagram`` is the n-entry colored diagram D_w of a
+permutation w (green entry = descent, red = ascent), and w is all it stores:
+``double_diagram(w)`` is that diagram, its entries are read off w on first
+use, and ``ColoredDiagram.from_entries`` is the one decoder of entries built
+elsewhere, accepting them exactly when they are D_w for the word their
+endpoint chain spells.  The crossing and diagram tests decide the
+noncrossing conditions on arc sets:
 
   (nc1)  no two arcs cross at a non-endpoint,
   (nc2)  no two arcs share a left endpoint or share a right endpoint.
@@ -105,42 +108,58 @@ def check_nad(arcs) -> bool:
 
 @dataclass(frozen=True)
 class ColoredDiagram:
-    """The diagram D_w: entry i is the arc of the pair (w_i, w_{i+1}), green
-    at a descent.  The constructor reads w off the endpoint chain and accepts
-    only the entries of D_w, so the arcs never cross; ``permutation()`` is w."""
+    """The diagram D_w of a permutation w, stored as w alone: entry i is the
+    arc of the pair (w_i, w_{i+1}), green at a descent, so the arcs never
+    cross.  Entries built elsewhere come in through ``from_entries``."""
 
-    n: int
-    entries: tuple[tuple[Arc, str], ...]
+    w: Permutation
 
-    def __post_init__(self):
-        if len(self.entries) != self.n:
-            raise ValueError(f"need exactly {self.n} entries, got {len(self.entries)}")
-        for arc, color in self.entries:
-            if color not in (GREEN, RED):
-                raise ValueError(f"bad color {color!r}")
-            if arc.right > self.n + 1:
-                raise ValueError(f"{arc} escapes the point range 1..{self.n + 1}")
-        first, color = self.entries[0]
+    @property
+    def n(self) -> int:
+        return self.w.rank
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Arc, str], ...]:
+        """Entry i joins w_i and w_{i+1}; an interior value k passes below
+        when it sits at a position left of the pair, above when right of it.
+        Built on first read."""
+        word = self.w.word
+        # later[i]: bit k set for each value k at a 0-based position >= i
+        later = [0] * (len(word) + 1)
+        for i in range(len(word) - 1, -1, -1):
+            later[i] = later[i + 1] | 1 << word[i]
+        entries = []
+        for i in range(self.n):
+            a, b = word[i], word[i + 1]
+            p, q = min(a, b), max(a, b)
+            above = later[i + 2] & ((1 << q) - (2 << p))
+            entries.append((_interned_arc(p, q, above), GREEN if a > b else RED))
+        return tuple(entries)
+
+    @classmethod
+    def from_entries(cls, entries) -> ColoredDiagram:
+        """The diagram whose entries these are.  Walks the endpoint chain once
+        to read the word w it spells, then accepts only the entries of D_w,
+        which also rules out bad colors and arcs outside 1..n+1."""
+        entries = tuple(entries)
+        if not entries:
+            raise ValueError("need at least one entry")
+        first, color = entries[0]
         word = [first.right if color == GREEN else first.left]
-        for i, (arc, color) in enumerate(self.entries, start=1):
+        for arc, _ in entries:
             if word[-1] not in (arc.left, arc.right):
                 raise ValueError("entries do not chain into a permutation")
             word.append(arc.left + arc.right - word[-1])
-            if (word[-2] > word[-1]) != (color == GREEN):
-                raise ValueError(f"color at position {i} contradicts the word")
-        w = Permutation(tuple(word))
-        if self.entries != _entries(w):
-            raise ValueError(f"entries are not the diagram of {w}")
-        object.__setattr__(self, "_permutation", w)
+        diagram = cls(Permutation(tuple(word)))
+        if diagram.entries != entries:
+            raise ValueError(f"entries are not the diagram of {diagram.w}")
+        return diagram
 
     def arc(self, i: int) -> Arc:
         return self.entries[i - 1][0]
 
     def color(self, i: int) -> str:
         return self.entries[i - 1][1]
-
-    def permutation(self) -> Permutation:
-        return self._permutation
 
     def green_arcs(self) -> list[Arc]:
         return [arc for arc, color in self.entries if color == GREEN]
@@ -158,27 +177,9 @@ class ColoredDiagram:
         }
 
 
-def _entries(w: Permutation) -> tuple[tuple[Arc, str], ...]:
-    """The entries of D_w: entry i joins w_i and w_{i+1}; an interior value k
-    passes below when it sits at a position left of the pair, above when
-    right of it.  Green marks descents."""
-    word = w.word
-    # later[i]: bit k set for each value k at a 0-based position >= i
-    later = [0] * (len(word) + 1)
-    for i in range(len(word) - 1, -1, -1):
-        later[i] = later[i + 1] | 1 << word[i]
-    entries = []
-    for i in range(w.rank):
-        a, b = word[i], word[i + 1]
-        p, q = min(a, b), max(a, b)
-        above = later[i + 2] & ((1 << q) - (2 << p))
-        entries.append((_interned_arc(p, q, above), GREEN if a > b else RED))
-    return tuple(entries)
-
-
 def double_diagram(w: Permutation) -> ColoredDiagram:
     """The colored diagram D_w of w."""
-    return ColoredDiagram(w.rank, _entries(w))
+    return ColoredDiagram(w)
 
 
 @cache
@@ -226,21 +227,18 @@ ARC_ENUM_CAP = 8
 
 
 def enumerate_arcs(n: int) -> list[Arc]:
-    """All arcs on 1..n+1, ordered by (left, right, side bitmask)."""
+    """All arcs on 1..n+1, ordered by (left, right, side bitmask); they are
+    the shared objects that diagrams use."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > ARC_ENUM_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {ARC_ENUM_CAP}")
-    out = []
-    for left in range(1, n + 1):
-        for right in range(left + 1, n + 2):
-            interior = list(range(left + 1, right))
-            for mask in range(1 << len(interior)):
-                above = frozenset(
-                    m for j, m in enumerate(interior) if mask >> j & 1
-                )
-                out.append(Arc(left, right, above))
-    return out
+    return [
+        _interned_arc(left, right, mask << (left + 1))
+        for left in range(1, n + 1)
+        for right in range(left + 1, n + 2)
+        for mask in range(1 << (right - left - 1))
+    ]
 
 
 @cache

@@ -19,6 +19,7 @@ from functools import cache, reduce
 from typing import Any, Callable, Iterator
 
 from .arcs import (
+    ColoredDiagram,
     arc_to_join_irreducible,
     check_nad,
     double_diagram,
@@ -248,19 +249,22 @@ def _hasse_structure(n: int) -> Iterator[Case]:
     perms, weak_edges = weak_order_hasse(n)
     yield "vertices", len(diagrams), math.factorial(n + 1)
     yield "edges", len(edges), math.factorial(n + 1) * n // 2
-    yield "vertex labelings agree", [d.permutation() for d in diagrams] == perms, True
+    # each vertex is read back from its entries, so the labels are not
+    # just the words the diagrams were built from
+    labels = [ColoredDiagram.from_entries(d.entries).w for d in diagrams]
+    yield "vertex labelings agree", labels == perms, True
     yield "edge sets agree", sorted(edges) == sorted(weak_edges), True
 
 
 CRITERIA = (
-    Criterion("01", "bijection", range(1, 7), _bijection_counts),
-    Criterion("02", "bijection", range(1, 8), _brick_classification),
+    Criterion("01", "bijection", range(1, 8), _bijection_counts),
+    Criterion("02", "bijection", range(1, 9), _brick_classification),
     Criterion("03", "homs", range(3, 7), _graph_maps_equal_linear_algebra),
     Criterion("04", "homs", range(1, 7), _orthogonality_iff_noncrossing),
     Criterion("05", "bijection", range(3, 7), _semibrick_oracle),
     Criterion("06", "mutation", range(3, 7), _mutation_compatibility),
     Criterion("07", "mutation", range(3, 7), _module_mutation_oracle),
-    Criterion("08", "order", range(3, 5), _order_criterion),
+    Criterion("08", "order", range(3, 6), _order_criterion),
     Criterion("09", "bijection", range(1, 7), _canonical_join_representations),
     Criterion("10", "quotients", range(1, 8), _quotient_families),
     Criterion("11", "order", range(2, 7), _hasse_structure),

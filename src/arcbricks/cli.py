@@ -155,8 +155,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.suite not in SUITES:
-        raise CliError(EXIT_USAGE, f"unknown suite {args.suite!r}")
     if args.max_n > CHECK_CAP:
         raise CliError(EXIT_CAP, f"check cap is 1 <= max-n <= {CHECK_CAP}")
     results = run_suite(args.suite, args.max_n)
@@ -227,11 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("check", help="run verification suites")
-    p.add_argument(
-        "--suite",
-        default="all",
-        help="bijection|homs|mutation|order|quotients|all",
-    )
+    p.add_argument("--suite", default="all", choices=SUITES)
     p.add_argument("--max-n", type=positive_int, default=4, dest="max_n")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_check)

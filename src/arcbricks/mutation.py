@@ -111,7 +111,7 @@ def mutate_dad(
             f"{direction} mutation needs {'green' if direction == 'left' else 'red'} "
             f"at position {i}, found {pivot_color}"
         )
-    w = diagram.permutation()
+    w = diagram.w
     pivot = diagram.arc(i)
     entries = list(diagram.entries)
     entries[i - 1] = (pivot, RED if pivot_color == GREEN else GREEN)
@@ -121,7 +121,7 @@ def mutate_dad(
     if i + 1 <= n:
         new_arc = half_twist(pivot, diagram.arc(i + 1), twist=direction)
         entries[i] = (new_arc, GREEN if w[i] > w[i + 2] else RED)
-    return ColoredDiagram(n, tuple(entries))
+    return ColoredDiagram.from_entries(entries)
 
 
 def psi(diagram: ColoredDiagram) -> TwoTermCollection:
@@ -314,7 +314,7 @@ def hasse(n: int):
         for i in range(1, n + 1):
             if diagram.color(i) == GREEN:
                 target = mutate_dad(diagram, i, "left")
-                edges.append((k, index[target.permutation().word], i))
+                edges.append((k, index[target.w.word], i))
     return diagrams, edges
 
 
@@ -323,7 +323,7 @@ def hasse_dot(n: int) -> str:
     diagrams, edges = hasse(n)
     lines = ["digraph mutation {"]
     for k, diagram in enumerate(diagrams):
-        lines.append(f'  w{k} [label="{diagram.permutation()}"];')
+        lines.append(f'  w{k} [label="{diagram.w}"];')
     for src, dst, i in sorted(edges):
         lines.append(f'  w{src} -> w{dst} [label="mu{i}"];')
     lines.append("}")
@@ -336,7 +336,7 @@ def hasse_json(n: int) -> dict:
         "n": n,
         "vertices": [
             {
-                "permutation": str(d.permutation()),
+                "permutation": str(d.w),
                 "arcs": [
                     {**arc.to_json(), "color": color, "shift": 0 if color == GREEN else 1}
                     for arc, color in d.entries

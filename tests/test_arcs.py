@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from arcbricks.arcs import (
     Arc,
     ColoredDiagram,
+    _interned_arc,
     arc_from_json,
     arc_to_join_irreducible,
     check_nad,
@@ -199,13 +200,10 @@ def test_green_marks_descents():
 
 def test_colored_diagram_rejects_crossing_entries():
     with pytest.raises(ValueError):
-        ColoredDiagram(
-            2,
-            ((Arc(1, 3, frozenset({2})), G), (Arc(2, 3), R)),
-        )
+        ColoredDiagram.from_entries(((Arc(1, 3, frozenset({2})), G), (Arc(2, 3), R)))
     # chains into 1324 with matching colors, but D_1324 passes above 2
     with pytest.raises(ValueError, match="not the diagram of 1324"):
-        ColoredDiagram(3, ((Arc(1, 3), R), (Arc(2, 3), G), (Arc(2, 4), R)))
+        ColoredDiagram.from_entries(((Arc(1, 3), R), (Arc(2, 3), G), (Arc(2, 4), R)))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -213,25 +211,49 @@ def test_colored_diagram_accepts_exactly_the_diagrams_of_words(n):
     accepted = set()
     for arcs in itertools.product(enumerate_arcs(n), repeat=n):
         for colors in itertools.product((G, R), repeat=n):
+            entries = tuple(zip(arcs, colors))
             try:
-                accepted.add(ColoredDiagram(n, tuple(zip(arcs, colors))))
+                diagram = ColoredDiagram.from_entries(entries)
             except ValueError:
-                pass
+                continue
+            assert diagram.entries == entries
+            accepted.add(diagram)
     assert len(accepted) == math.factorial(n + 1)
     assert accepted == {double_diagram(w) for w in all_permutations(n)}
 
 
 def test_colored_diagram_rejects_broken_chains():
     with pytest.raises(ValueError, match="do not chain"):
-        ColoredDiagram(2, ((Arc(1, 2), R), (Arc(1, 3), R)))
-    with pytest.raises(ValueError, match="contradicts"):
-        ColoredDiagram(2, ((Arc(1, 2), R), (Arc(2, 3), G)))
+        ColoredDiagram.from_entries(((Arc(1, 2), R), (Arc(1, 3), R)))
+    # chains into 123, whose second entry is red
+    with pytest.raises(ValueError, match="not the diagram of 123"):
+        ColoredDiagram.from_entries(((Arc(1, 2), R), (Arc(2, 3), G)))
+
+
+def test_colored_diagram_rejects_empty_entries_bad_colors_and_escaping_arcs():
+    with pytest.raises(ValueError, match="at least one entry"):
+        ColoredDiagram.from_entries(())
+    with pytest.raises(ValueError):
+        ColoredDiagram.from_entries(((Arc(1, 2), "blue"), (Arc(2, 3), R)))
+    with pytest.raises(ValueError):
+        ColoredDiagram.from_entries(((Arc(1, 2), R), (Arc(2, 4, frozenset({3})), R)))
 
 
 def test_permutation_round_trip():
     for n in (1, 2, 3, 4):
         for w in all_permutations(n):
-            assert double_diagram(w).permutation() == w
+            assert ColoredDiagram.from_entries(double_diagram(w).entries).w == w
+
+
+def test_double_diagram_builds_its_entries_once_and_only_when_read(clear_caches):
+    d = double_diagram(P("2143"))
+    assert _interned_arc.cache_info().misses == 0
+    assert d.entries is d.entries
+    assert _interned_arc.cache_info().misses == 3
+
+
+def test_enumerate_arcs_returns_the_arcs_diagrams_use():
+    assert double_diagram(P("2143")).arc(1) is enumerate_arcs(3)[0]
 
 
 def test_arc_to_join_irreducible_examples():

@@ -92,7 +92,7 @@ def flipped_half_twist(pivot, other, twist="left"):
 
 def test_a_route_that_raises_fails_its_rank(monkeypatch, capsys):
     # A flipped twist puts the shared point on the wrong side, so the
-    # mutated entries are no diagram D_w and the constructor raises.
+    # mutated entries are no diagram D_w and ``from_entries`` raises.
     monkeypatch.setattr(mutation, "half_twist", flipped_half_twist)
     result = run_criterion(criterion("06"), max_n=3)
     assert not result.passed

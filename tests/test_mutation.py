@@ -244,7 +244,7 @@ def test_hasse_sizes():
 
 def test_hasse_matches_known_edge_list():
     diagrams, edges = hasse(3)
-    words = [str(d.permutation()) for d in diagrams]
+    words = [str(d.w) for d in diagrams]
     got = {(words[src], words[dst]) for src, dst, _ in edges}
     assert got == set(MUTATION_EDGES_RANK3)
     for src, dst, i in edges:
@@ -256,7 +256,7 @@ def test_hasse_agrees_with_weak_order_covers():
     for n in (2, 3):
         diagrams, edges = hasse(n)
         perms, weak_edges = weak_order_hasse(n)
-        assert [d.permutation() for d in diagrams] == perms
+        assert [d.w for d in diagrams] == perms
         assert sorted(edges) == sorted(weak_edges)
 
 
