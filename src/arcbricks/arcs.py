@@ -71,7 +71,12 @@ class Arc:
 
 
 def arc_from_json(data: dict) -> Arc:
-    return Arc(data["left"], data["right"], frozenset(data.get("above", ())))
+    """Inverse of ``Arc.to_json``; malformed input raises ``ValueError``."""
+    ok = isinstance(data, dict) and isinstance(data.get("above", []), list)
+    points = [data.get("left"), data.get("right"), *data.get("above", [])] if ok else []
+    if not points or not all(type(x) is int for x in points):
+        raise ValueError(f"an arc needs integer left, right and above points, got {data!r}")
+    return Arc(points[0], points[1], frozenset(points[2:]))
 
 
 def is_crossing(alpha: Arc, beta: Arc) -> bool:

@@ -133,6 +133,10 @@ def nullspace(m: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]
     with a 1 in that coordinate; the result is the standard reduced echelon
     parametrization, so callers get a deterministic basis.  The entries are
     read straight from the integer rows of ``_echelon``.
+
+    Contract: a vector's free coordinate is its last nonzero entry, which is
+    1, and every other basis vector is 0 there.  So the basis, as columns,
+    is the identity on the rows of its free coordinates.
     """
     n = ncols if ncols is not None else (len(m[0]) if m else 0)
     if not m or n == 0:
@@ -154,16 +158,10 @@ def nullspace(m: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]
     return basis
 
 
-def column_space_basis(m: Matrix) -> Matrix:
-    """Pivot columns of ``m``, as a matrix whose columns span the image."""
-    _, pivots = _echelon(m)
-    return tuple(tuple(row[c] for c in pivots) for row in m)
-
-
-def solve_matrix(a: Matrix, b: Matrix, a_cols: int | None = None) -> Matrix:
+def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
     """One exact solution ``x`` of ``a @ x = b``; raises if inconsistent."""
     nrows = len(a)
-    ncols = a_cols if a_cols is not None else (len(a[0]) if a else 0)
+    ncols = len(a[0]) if a else 0
     bcols = len(b[0]) if b else 0
     if nrows == 0:
         return zeros(ncols, bcols)

@@ -220,7 +220,7 @@ def _extension_middle(
         for f in _injective_choices(basis, pivot):
             if not f.is_injective():
                 continue
-            _, _, cokernel = morphism_parts(f)
+            _, cokernel = morphism_parts(f)
             if is_isomorphic(cokernel, neighbor):
                 matches.append(candidate)
                 break
@@ -259,9 +259,10 @@ def _mutate_member(
     A shift-0 member with a one-dimensional extension space against the
     pivot is replaced by the extension middle; a shift-1 member with a
     one-dimensional hom space to the pivot is replaced by the cokernel
-    (shift 0) of that map when it is injective, or by the kernel (shift 1)
-    when it is surjective.  Members with no approximation target are
-    untouched.
+    (shift 0) of that map when it is injective (its kernel is 0), or by the
+    kernel (shift 1) when it is surjective (its cokernel is 0), both read
+    from one ``morphism_parts`` call.  Members with no approximation target
+    are untouched.
     """
     if shift == 0:
         d = ext1_dim(module, pivot)
@@ -275,12 +276,10 @@ def _mutate_member(
         return module, 1
     if d != 1:
         raise MutationError(f"hom space against the pivot has dimension {d}")
-    f = hom_basis(module, pivot)[0]
-    if f.is_injective():
-        _, _, cokernel = morphism_parts(f)
+    kernel, cokernel = morphism_parts(hom_basis(module, pivot)[0])
+    if not any(kernel.dims):
         return cokernel, 0
-    if f.is_surjective():
-        kernel, _, _ = morphism_parts(f)
+    if not any(cokernel.dims):
         return kernel, 1
     raise MutationError("approximation map is neither injective nor surjective")
 

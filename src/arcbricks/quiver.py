@@ -14,7 +14,9 @@ arrow carries the identity, above means the inverse one does.
 
 Hom spaces are computed by solving the commuting-square equations exactly;
 Ext^1 comes from the symmetric Euler-type form and is never computed any
-other way here.
+other way here.  ``morphism_parts`` gives the kernel and cokernel of a
+morphism; their arrow maps are read off the canonical kernel bases of
+``linalg.nullspace``, with no linear solve.
 
 Three functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
 ``hom_basis`` on the ``(source, target)`` pair of representations and
@@ -77,12 +79,9 @@ class Representation:
         if len(self.maps) != len(arrs):
             raise ValueError("need one matrix per arrow")
         for a, m in zip(arrs, self.maps):
-            expected = (self.dim(arrow_target(a)), self.dim(arrow_source(a)))
-            got = (len(m), len(m[0]) if m else expected[1])
-            if got != expected:
-                raise ValueError(
-                    f"matrix for {arrow_name(a)} has shape {got}, expected {expected}"
-                )
+            rows, cols = self.dim(arrow_target(a)), self.dim(arrow_source(a))
+            if len(m) != rows or any(len(row) != cols for row in m):
+                raise ValueError(f"matrix for {arrow_name(a)} is not {rows} x {cols}")
 
     @cached_property
     def _hash(self) -> int:
@@ -114,19 +113,33 @@ class Representation:
 
 
 def representation_from_json(data: dict, n: int) -> Representation:
-    """Inverse of ``Representation.to_json``; a malformed arrow name raises
+    """Inverse of ``Representation.to_json``; malformed input raises
     ``ValueError``."""
-    named = {
-        parse_arrow(name): tuple(tuple(Fraction(x) for x in row) for row in raw)
-        for name, raw in data.get("arrows", {}).items()
-    }
+    raw_arrows = data.get("arrows", {}) if isinstance(data, dict) else None
+    if not (isinstance(raw_arrows, dict) and isinstance(data.get("dims"), list)):
+        raise ValueError(f"need a dims list and an arrows object, got {data!r}")
+    named = {parse_arrow(k): _matrix_from_json(raw) for k, raw in raw_arrows.items()}
     return make_representation(n, data["dims"], named)
+
+
+def _matrix_from_json(raw) -> Matrix:
+    if isinstance(raw, list) and all(
+        isinstance(row, list) and all(isinstance(x, (str, int)) for x in row)
+        for row in raw
+    ):
+        try:
+            return linalg.mat(raw)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"a matrix is a list of rows of exact numbers, got {raw!r}")
 
 
 def make_representation(n: int, dims, named_maps: dict[Arrow, Matrix]) -> Representation:
     """Build a representation from the nonzero maps; the rest are zero.  A
     map on an arrow outside the rank-n quiver raises ``ValueError``."""
     dims = tuple(dims)
+    if len(dims) != n or any(type(d) is not int or d < 0 for d in dims):
+        raise ValueError(f"dims must be {n} nonnegative integers, got {dims}")
     quiver_arrows = arrows(n)
     stray = set(named_maps).difference(quiver_arrows)
     if stray:
@@ -206,12 +219,6 @@ class Morphism:
     def is_injective(self) -> bool:
         return all(
             linalg.rank(self.mat(v)) == self.source.dim(v)
-            for v in range(1, self.source.n + 1)
-        )
-
-    def is_surjective(self) -> bool:
-        return all(
-            linalg.rank(self.mat(v)) == self.target.dim(v)
             for v in range(1, self.source.n + 1)
         )
 
@@ -303,60 +310,50 @@ def combine_morphisms(basis, coeffs) -> Morphism:
     return Morphism(first.source, first.target, tuple(mats))
 
 
+def _dot(x, y) -> Fraction:
+    return sum((a * b for a, b in zip(x, y)), linalg.ZERO)
+
+
+def _free_coordinates(basis) -> list[int]:
+    """Where each canonical kernel basis vector is 1 and the others are 0:
+    its last nonzero entry (see ``linalg.nullspace``)."""
+    return [max(j for j, x in enumerate(vec) if x) for vec in basis]
+
+
 @cache
-def morphism_parts(f: Morphism) -> tuple[Representation, Representation, Representation]:
-    """Vertex-wise kernel, image and cokernel with their induced arrow maps,
-    computed once per morphism."""
+def morphism_parts(f: Morphism) -> tuple[Representation, Representation]:
+    """Kernel and cokernel with their induced arrow maps, computed once per
+    morphism and with no linear solve.
+
+    ``K_v`` has the canonical basis of ker(f_v) as columns and ``C_v`` that
+    of ker(f_v^T) as rows; each is the identity at its free coordinates.  On
+    ``a : s -> t``, with X_a and Y_a the source's and the target's maps, the
+    kernel map is ``X_a K_s`` read at the rows of K_t's free coordinates.
+    The unit columns at C_s's free coordinates are a right inverse of C_s,
+    so the cokernel map is ``C_t Y_a`` read at those columns; any right
+    inverse gives the same map, since ``C_t Y_a`` kills the image of f_s.
+    """
     n = f.source.n
-    ker_cols, im_cols, cok_rows = {}, {}, {}
+    ker, cok = [], []
     for v in range(1, n + 1):
-        m = f.mat(v)
-        ker_cols[v] = linalg.transpose(
-            tuple(linalg.nullspace(m, ncols=f.source.dim(v))), ncols=f.source.dim(v)
-        )
-        im_cols[v] = linalg.column_space_basis(m)
-        mt = linalg.transpose(m, ncols=f.source.dim(v))
-        cok_rows[v] = tuple(linalg.nullspace(mt, ncols=f.target.dim(v)))
-
-    def dims_of(cols, kind):
-        if kind == "rows":
-            return tuple(len(cols[v]) for v in range(1, n + 1))
-        return tuple(len(cols[v][0]) if cols[v] else 0 for v in range(1, n + 1))
-
-    ker_dims = dims_of(ker_cols, "cols")
-    im_dims = dims_of(im_cols, "cols")
-    cok_dims = dims_of(cok_rows, "rows")
-
-    ker_maps, im_maps, cok_maps = {}, {}, {}
+        fvt = linalg.transpose(f.mat(v), ncols=f.source.dim(v))
+        ker.append(linalg.nullspace(f.mat(v), ncols=f.source.dim(v)))
+        cok.append(linalg.nullspace(fvt, ncols=f.target.dim(v)))
+    ker_free = [_free_coordinates(basis) for basis in ker]
+    cok_free = [_free_coordinates(basis) for basis in cok]
+    ker_maps, cok_maps = {}, {}
     for a in arrows(n):
-        s, t = arrow_source(a), arrow_target(a)
-        ker_maps[a] = linalg.solve_matrix(
-            ker_cols[t],
-            linalg.matmul(f.source.map(a), ker_cols[s], b_ncols=ker_dims[s - 1]),
-            a_cols=ker_dims[t - 1],
+        s, t = arrow_source(a) - 1, arrow_target(a) - 1
+        ms, mt = f.source.map(a), f.target.map(a)
+        ker_maps[a] = tuple(
+            tuple(_dot(ms[p], k) for k in ker[s]) for p in ker_free[t]
         )
-        im_maps[a] = linalg.solve_matrix(
-            im_cols[t],
-            linalg.matmul(f.target.map(a), im_cols[s], b_ncols=im_dims[s - 1]),
-            a_cols=im_dims[t - 1],
+        cok_maps[a] = tuple(
+            tuple(_dot(c, [row[q] for row in mt]) for q in cok_free[s]) for c in cok[t]
         )
-        # Right inverse of the projection rows at the source vertex.
-        proj_s = cok_rows[s]
-        if cok_dims[s - 1] and f.target.dim(s):
-            rinv = linalg.solve_matrix(
-                proj_s, linalg.identity(cok_dims[s - 1]), a_cols=f.target.dim(s)
-            )
-        else:
-            rinv = linalg.zeros(f.target.dim(s), cok_dims[s - 1])
-        cok_maps[a] = linalg.matmul(
-            linalg.matmul(cok_rows[t], f.target.map(a), f.target.dim(s)),
-            rinv,
-            f.target.dim(s),
-        )
-    kernel = make_representation(n, ker_dims, ker_maps)
-    image = make_representation(n, im_dims, im_maps)
-    cokernel = make_representation(n, cok_dims, cok_maps)
-    return kernel, image, cokernel
+    kernel = make_representation(n, [len(basis) for basis in ker], ker_maps)
+    cokernel = make_representation(n, [len(basis) for basis in cok], cok_maps)
+    return kernel, cokernel
 
 
 def bilinear(x, y) -> int:

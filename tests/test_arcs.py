@@ -57,6 +57,23 @@ def test_arc_json_round_trip():
     assert arc_from_json(arc.to_json()) == arc
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"left": 1},
+        {"left": 1, "right": "3"},
+        {"left": 1, "right": 3, "above": 5},
+        {"left": 1, "right": 3, "above": ["2"]},
+        {"left": 1, "right": 3, "above": [3]},
+        {"left": 3, "right": 1},
+        [1, 3],
+    ],
+)
+def test_arc_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        arc_from_json(data)
+
+
 def test_is_crossing_examples():
     assert is_crossing(Arc(1, 3, frozenset({2})), Arc(2, 4, frozenset({3})))
     assert not is_crossing(Arc(1, 3), Arc(3, 5))

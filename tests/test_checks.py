@@ -138,8 +138,8 @@ def test_clear_caches_empties_every_package_cache(clear_caches):
 
 def test_swapped_kernel_and_cokernel_fail_criterion_07(clear_caches, monkeypatch):
     def swapped(f):
-        kernel, image, cokernel = quiver.morphism_parts(f)
-        return cokernel, image, kernel
+        kernel, cokernel = quiver.morphism_parts(f)
+        return cokernel, kernel
 
     monkeypatch.setattr(mutation, "morphism_parts", swapped)
     result = run_criterion(criterion("07"), max_n=3)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from arcbricks.permutations import all_permutations
 from arcbricks.quiver import (
     Morphism,
     arc_module,
+    arrow_source,
+    arrow_target,
     arrows,
     bilinear,
     check_relations,
@@ -95,18 +98,16 @@ def test_morphism_parts_examples():
     s1 = arc_module(Arc(1, 2), 2)
     big = arc_module(A13U, 2)
     f = hom_basis(s1, big)[0]
-    kernel, image, cokernel = morphism_parts(f)
+    kernel, cokernel = morphism_parts(f)
     assert kernel.dims == (0, 0)
-    assert image.dims == (1, 0)
     assert is_isomorphic(cokernel, simple_representation(2, 2))
 
     ident = identity_morphism(big)
-    kernel, image, cokernel = morphism_parts(ident)
+    kernel, cokernel = morphism_parts(ident)
     assert kernel.dims == (0, 0) and cokernel.dims == (0, 0)
-    assert is_isomorphic(image, big)
 
     zero = zero_morphism(s1, big)
-    kernel, image, cokernel = morphism_parts(zero)
+    kernel, cokernel = morphism_parts(zero)
     assert is_isomorphic(kernel, s1)
     assert is_isomorphic(cokernel, big)
 
@@ -116,12 +117,100 @@ def test_morphism_parts_exactness():
     arcs = enumerate_arcs(3)
     for a, b in itertools.product(arcs, repeat=2):
         for f in hom_basis(arc_module(a, 3), arc_module(b, 3)):
-            kernel, image, cokernel = morphism_parts(f)
-            for rep in (kernel, image, cokernel):
+            kernel, cokernel = morphism_parts(f)
+            for rep in (kernel, cokernel):
                 assert check_relations(rep)
-            for v in range(3):
-                assert kernel.dims[v] + image.dims[v] == f.source.dims[v]
-                assert image.dims[v] + cokernel.dims[v] == f.target.dims[v]
+            for v in range(1, 4):
+                r = linalg.rank(f.mat(v))
+                assert kernel.dim(v) + r == f.source.dim(v)
+                assert r + cokernel.dim(v) == f.target.dim(v)
+
+
+def reference_parts(f):
+    """Kernel and cokernel by exact solves: the kernel map solves
+    ``K_t X = M_a K_s`` and the cokernel map is ``C_t M_a R_s`` for the right
+    inverse ``R_s`` that solves ``C_s R_s = I``.  ``K_v`` has the kernel
+    basis of f_v as columns and ``C_v`` the kernel basis of f_v^T as rows."""
+    n = f.source.n
+    ker, cok = {}, {}
+    for v in range(1, n + 1):
+        ker[v] = linalg.transpose(
+            tuple(linalg.nullspace(f.mat(v), ncols=f.source.dim(v))),
+            ncols=f.source.dim(v),
+        )
+        fvt = linalg.transpose(f.mat(v), ncols=f.source.dim(v))
+        cok[v] = tuple(linalg.nullspace(fvt, ncols=f.target.dim(v)))
+    ker_dims = [len(ker[v][0]) if ker[v] else 0 for v in range(1, n + 1)]
+    cok_dims = [len(cok[v]) for v in range(1, n + 1)]
+    ker_maps, cok_maps = {}, {}
+    for a in arrows(n):
+        s, t = arrow_source(a), arrow_target(a)
+        k_s, k_t, c_s = ker_dims[s - 1], ker_dims[t - 1], cok_dims[s - 1]
+        image = linalg.matmul(f.source.map(a), ker[s], b_ncols=k_s)
+        ker_maps[a] = (
+            linalg.solve_matrix(ker[t], image) if ker[t] else linalg.zeros(k_t, k_s)
+        )
+        if c_s:
+            rinv = linalg.solve_matrix(cok[s], linalg.identity(c_s))
+        else:
+            rinv = linalg.zeros(f.target.dim(s), 0)
+        pushed = linalg.matmul(cok[t], f.target.map(a), f.target.dim(s))
+        cok_maps[a] = linalg.matmul(pushed, rinv, c_s)
+    return (
+        make_representation(n, ker_dims, ker_maps),
+        make_representation(n, cok_dims, cok_maps),
+    )
+
+
+def direct_sum(x, y):
+    named = {}
+    for a in arrows(x.n):
+        pad_x, pad_y = x.dim(arrow_source(a)), y.dim(arrow_source(a))
+        named[a] = tuple(row + (linalg.ZERO,) * pad_y for row in x.map(a)) + tuple(
+            (linalg.ZERO,) * pad_x + row for row in y.map(a)
+        )
+    dims = [p + q for p, q in zip(x.dims, y.dims)]
+    return make_representation(x.n, dims, named)
+
+
+def assert_parts_match_reference(f):
+    kernel, cokernel = morphism_parts(f)
+    assert repr((kernel, cokernel)) == repr(reference_parts(f))
+    assert check_relations(kernel) and check_relations(cokernel)
+
+
+def test_morphism_parts_match_solve_reference_on_arc_modules():
+    for n in (1, 2, 3):
+        modules = [arc_module(arc, n) for arc in enumerate_arcs(n)]
+        for source, target in itertools.product(modules, repeat=2):
+            basis = hom_basis(source, target)
+            cases = [*basis, zero_morphism(source, target)]
+            if basis:
+                coeffs = [Fraction(k + 2, k + 1) for k in range(len(basis))]
+                cases.append(combine_morphisms(basis, coeffs))
+            for f in cases:
+                assert_parts_match_reference(f)
+
+
+def test_morphism_parts_match_solve_reference_on_direct_sums():
+    # two-dimensional vertices give kernel and cokernel bases with more
+    # than one nonzero entry, so the free coordinates matter
+    rng = random.Random(3)
+    for n in (2, 3):
+        modules = [arc_module(arc, n) for arc in enumerate_arcs(n)]
+        sums = [
+            direct_sum(x, y)
+            for x, y in itertools.combinations_with_replacement(modules, 2)
+        ]
+        for _ in range(150):
+            source, target = rng.choice(sums), rng.choice(sums)
+            basis = hom_basis(source, target)
+            if not basis:
+                continue
+            coeffs = [
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis
+            ]
+            assert_parts_match_reference(combine_morphisms(basis, coeffs))
 
 
 def test_bilinear_and_quad():
@@ -235,6 +324,29 @@ def test_representation_from_json_rejects_bad_arrow_names():
     data["arrows"]["b1"] = [["1"]]
     with pytest.raises(ValueError, match="bad arrow name"):
         representation_from_json(data, 2)
+
+
+@pytest.mark.parametrize(
+    "data, n",
+    [
+        ({"dims": [1, 1]}, 3),
+        ({"dims": "ab"}, 2),
+        ({"dims": [1.0, 1]}, 2),
+        ({"dims": [1, -1]}, 2),
+        ({}, 2),
+        ([1, 1], 2),
+        ({"dims": [1, 1], "arrows": []}, 2),
+        ({"dims": [1, 1], "arrows": {"a1": "12"}}, 2),
+        ({"dims": [1, 1], "arrows": {"a1": ["1"]}}, 2),
+        ({"dims": [1, 1], "arrows": {"a1": [[None]]}}, 2),
+        ({"dims": [1, 1], "arrows": {"a1": [["1/0"]]}}, 2),
+        ({"dims": [1, 1], "arrows": {"a1": [["1", "2"]]}}, 2),
+        ({"dims": [2, 1], "arrows": {"a1-": [["1"], ["1", "2"]]}}, 2),
+    ],
+)
+def test_representation_from_json_rejects_malformed_input(data, n):
+    with pytest.raises(ValueError):
+        representation_from_json(data, n)
 
 
 def test_maps_on_arrows_outside_the_quiver_are_rejected():
