@@ -22,7 +22,11 @@ Three functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
 ``hom_basis`` on the ``(source, target)`` pair of representations and
 ``morphism_parts`` on the morphism.  A ``Representation`` computes its hash
 once and keeps it, so these keys hash their ``Fraction`` entries once per
-object, not once per lookup.
+object, not once per lookup.  It also builds its arrow table once, on first
+use: per arrow, the source and target indices, the nonzero entries of each
+column and the negated nonzero entries of each row.  ``hom_basis`` assembles
+its equations by zipping the source's and the target's tables, so a module's
+matrices are scanned once, not once per pair it takes part in.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ from .arcs import Arc
 from .linalg import Matrix
 
 Arrow = tuple[int, int]  # (index i, sign +1/-1)
+
+
+def _exact(x: Fraction) -> Fraction | int:
+    """``x`` as an ``int`` when it is integral, so elimination needs no
+    scaling for it."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def arrows(n: int) -> list[Arrow]:
@@ -92,6 +102,26 @@ class Representation:
         fields are frozen, so it cannot go stale."""
         return self._hash
 
+    @cached_property
+    def arrow_table(self) -> tuple[tuple[int, int, tuple, tuple], ...]:
+        """Per arrow, indexed like ``arrows(n)``: the 0-based source and
+        target vertices, each column's nonzero entries as ``(row, x)`` and
+        each row's negated nonzero entries as ``(column, -x)``.  Integral
+        entries are stored as ``int``."""
+        table = []
+        for a, m in zip(arrows(self.n), self.maps):
+            s, t = arrow_source(a) - 1, arrow_target(a) - 1
+            entries = [[_exact(x) for x in row] for row in m]
+            cols = tuple(
+                tuple((k, row[c]) for k, row in enumerate(entries) if row[c])
+                for c in range(self.dims[s])
+            )
+            rows = tuple(
+                tuple((k, -x) for k, x in enumerate(row) if x) for row in entries
+            )
+            table.append((s, t, cols, rows))
+        return tuple(table)
+
     def dim(self, v: int) -> int:
         return self.dims[v - 1]
 
@@ -118,7 +148,12 @@ def representation_from_json(data: dict, n: int) -> Representation:
     raw_arrows = data.get("arrows", {}) if isinstance(data, dict) else None
     if not (isinstance(raw_arrows, dict) and isinstance(data.get("dims"), list)):
         raise ValueError(f"need a dims list and an arrows object, got {data!r}")
-    named = {parse_arrow(k): _matrix_from_json(raw) for k, raw in raw_arrows.items()}
+    named = {}
+    for key, raw in raw_arrows.items():
+        a = parse_arrow(key)
+        if a in named:
+            raise ValueError(f"arrow {arrow_name(a)} is named twice, again as {key!r}")
+        named[a] = _matrix_from_json(raw)
     return make_representation(n, data["dims"], named)
 
 
@@ -240,10 +275,11 @@ def hom_basis(source: Representation, target: Representation) -> tuple[Morphism,
 
     Unknowns are the entries of the per-vertex matrices, ordered by
     (vertex, row, column); one linear equation per arrow and entry of the
-    commuting square.  Equations are assembled sparsely, from the nonzero
-    entries of the two arrow matrices only, and equations that are
-    identically zero are never written.  The reduced-echelon kernel basis
-    fixes the output.
+    commuting square.  Equations are assembled sparsely, from the source's
+    column entries and the target's negated row entries in their arrow
+    tables, and equations that are identically zero are never written.  The
+    reduced-echelon kernel basis fixes the output; each basis matrix is cut
+    out of its kernel vector one row slice at a time.
     """
     sdims, tdims = source.dims, target.dims
     offsets = [0]
@@ -252,36 +288,33 @@ def hom_basis(source: Representation, target: Representation) -> tuple[Morphism,
     total = offsets[-1]
 
     equations = []
-    for a, ms, mt in zip(arrows(source.n), source.maps, target.maps):
-        s, t = arrow_source(a) - 1, arrow_target(a) - 1
-        rows_t, cols_s = tdims[t], sdims[s]
-        cols_t, rows_s = sdims[t], tdims[s]
-        if rows_t * cols_s == 0 or cols_t == rows_s == 0:
-            continue
+    for (s, t, ms_cols, _), (_, _, _, mt_rows) in zip(
+        source.arrow_table, target.arrow_table
+    ):
         # (phi_t @ ms - mt @ phi_s)[r][c] = 0: phi_t[r][k] has coefficient
         # ms[k][c] and phi_s[k][c] has coefficient -mt[r][k].
-        ms_cols = [
-            [(k, ms[k][c]) for k in range(cols_t) if ms[k][c]] for c in range(cols_s)
-        ]
-        mt_rows = [[(k, -x) for k, x in enumerate(row) if x] for row in mt]
-        for r in range(rows_t):
-            for c in range(cols_s):
-                if not (ms_cols[c] or mt_rows[r]):
+        base_t, width_t = offsets[t], sdims[t]
+        base_s, width_s = offsets[s], sdims[s]
+        for r, mt_row in enumerate(mt_rows):
+            at_r = base_t + r * width_t
+            for c, ms_col in enumerate(ms_cols):
+                if not (ms_col or mt_row):
                     continue
                 row = [0] * total
-                for k, x in ms_cols[c]:
-                    row[offsets[t] + r * cols_t + k] = x
-                for k, x in mt_rows[r]:
-                    row[offsets[s] + k * cols_s + c] = x
+                for k, x in ms_col:
+                    row[at_r + k] = x
+                for k, x in mt_row:
+                    row[base_s + k * width_s + c] = x
                 equations.append(row)
+    shapes = list(zip(offsets, tdims, sdims))
     basis = []
     for vec in linalg.nullspace(tuple(equations), ncols=total):
         mats = tuple(
             tuple(
-                tuple(vec[base + r * cols_v + c] for c in range(cols_v))
+                vec[base + r * cols_v : base + (r + 1) * cols_v]
                 for r in range(rows_v)
             )
-            for base, rows_v, cols_v in zip(offsets, tdims, sdims)
+            for base, rows_v, cols_v in shapes
         )
         basis.append(Morphism(source, target, mats))
     return tuple(basis)

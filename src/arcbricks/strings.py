@@ -12,11 +12,17 @@ of the source arc with a submodule factorization of the target arc whose
 middles agree letter-for-letter on the same vertex interval; counting them
 computes the hom dimension combinatorially, which the linear-algebra route
 must reproduce.
+
+``factorizations`` is ``@cache``d on ``(arc, kind)`` and returns a tuple, and
+each arc's submodule factorizations are indexed by middle once, in a
+per-arc cache; ``graph_maps`` reads both, so a pair costs one lookup per
+quotient factorization of its source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import linalg
 from .arcs import Arc
@@ -82,7 +88,8 @@ class Factorization:
         return f"({parts[0]} | {parts[1]} | {parts[2]})"
 
 
-def factorizations(arc: Arc, kind: str) -> list[Factorization]:
+@cache
+def factorizations(arc: Arc, kind: str) -> tuple[Factorization, ...]:
     """All factorizations of the given kind, ordered by (|b|, |c|)."""
     if kind not in (QUOTIENT, SUBMODULE):
         raise ValueError(f"kind must be quotient or submodule, got {kind!r}")
@@ -99,7 +106,7 @@ def factorizations(arc: Arc, kind: str) -> list[Factorization]:
             if hi < length and letters[hi][1] != d_sign:
                 continue
             out.append(Factorization(seq, kind, lo, hi))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -113,15 +120,25 @@ class GraphMap:
         return self.quotient.middle()
 
 
-def graph_maps(alpha: Arc, beta: Arc) -> list[GraphMap]:
-    subs = {}
-    for f in factorizations(beta, SUBMODULE):
+@cache
+def _submodules_by_middle(arc: Arc) -> dict[tuple, tuple[Factorization, ...]]:
+    """The arc's submodule factorizations, grouped by middle in their
+    ``factorizations`` order."""
+    subs: dict[tuple, list[Factorization]] = {}
+    for f in factorizations(arc, SUBMODULE):
         subs.setdefault(f.middle(), []).append(f)
-    out = []
-    for q in factorizations(alpha, QUOTIENT):
-        for s in subs.get(q.middle(), ()):
-            out.append(GraphMap(alpha, beta, q, s))
-    return out
+    return {middle: tuple(fs) for middle, fs in subs.items()}
+
+
+def graph_maps(alpha: Arc, beta: Arc) -> list[GraphMap]:
+    """Every graph map from alpha to beta, ordered by the quotient
+    factorization and then by the submodule one; a new list per call."""
+    subs = _submodules_by_middle(beta)
+    return [
+        GraphMap(alpha, beta, q, s)
+        for q in factorizations(alpha, QUOTIENT)
+        for s in subs.get(q.middle(), ())
+    ]
 
 
 def graph_map_count(alpha: Arc, beta: Arc) -> int:

@@ -349,6 +349,13 @@ def test_representation_from_json_rejects_malformed_input(data, n):
         representation_from_json(data, n)
 
 
+def test_representation_from_json_rejects_two_keys_for_one_arrow():
+    # parse_arrow strips whitespace, so both keys name a1
+    data = {"dims": [1, 1], "arrows": {"a1": [["1"]], " a1": [["2"]]}}
+    with pytest.raises(ValueError, match="a1 is named twice"):
+        representation_from_json(data, 2)
+
+
 def test_maps_on_arrows_outside_the_quiver_are_rejected():
     with pytest.raises(ValueError, match="a5 outside the rank-2 quiver"):
         make_representation(2, (1, 1), {(5, 1): ((1,),)})
@@ -393,3 +400,89 @@ def test_representation_hash_is_kept_and_agrees_with_equality():
     assert [f.name for f in dataclasses.fields(built)] == ["n", "dims", "maps"]
     assert repr(parsed) == repr(built)
     assert "_hash" not in repr(built) and str(hash(built)) not in repr(built)
+
+
+def reference_hom_basis(source, target):
+    """Hom basis from a dense equation matrix: every entry of every
+    commuting square is written, zero rows included, and each basis matrix
+    is read from the kernel vector entry by entry."""
+    offsets = [0]
+    for v in range(1, source.n + 1):
+        offsets.append(offsets[-1] + target.dim(v) * source.dim(v))
+    total = offsets[-1]
+    equations = []
+    for a in arrows(source.n):
+        s, t = arrow_source(a), arrow_target(a)
+        ms, mt = source.map(a), target.map(a)
+        for r in range(target.dim(t)):
+            for c in range(source.dim(s)):
+                row = [linalg.ZERO] * total
+                for k in range(source.dim(t)):
+                    row[offsets[t - 1] + r * source.dim(t) + k] += ms[k][c]
+                for k in range(target.dim(s)):
+                    row[offsets[s - 1] + k * source.dim(s) + c] -= mt[r][k]
+                equations.append(tuple(row))
+    basis = []
+    for vec in linalg.nullspace(tuple(equations), ncols=total):
+        mats = tuple(
+            tuple(
+                tuple(
+                    vec[offsets[v - 1] + r * source.dim(v) + c]
+                    for c in range(source.dim(v))
+                )
+                for r in range(target.dim(v))
+            )
+            for v in range(1, source.n + 1)
+        )
+        basis.append(Morphism(source, target, mats))
+    return tuple(basis)
+
+
+def assert_hom_basis_matches_reference(source, target):
+    basis = hom_basis(source, target)
+    assert repr(basis) == repr(reference_hom_basis(source, target))
+    for f in basis:
+        assert f.is_valid()
+        assert all(type(x) is Fraction for m in f.mats for row in m for x in row)
+
+
+def test_hom_basis_matches_dense_reference_on_arc_modules():
+    modules = [arc_module(arc, 4) for arc in enumerate_arcs(4)]
+    for source, target in itertools.product(modules, repeat=2):
+        assert_hom_basis_matches_reference(source, target)
+
+
+def test_hom_basis_matches_dense_reference_beyond_arc_modules(clear_caches):
+    # two-dimensional vertices and non-integral entries: kernels and
+    # cokernels of combined maps between direct sums, and a module with
+    # halves on its arrows
+    half = Fraction(1, 2)
+    halves = make_representation(
+        3,
+        (2, 2, 1),
+        {
+            (1, 1): ((half, 0), (0, Fraction(3, 2))),
+            (1, -1): ((0, half), (0, 0)),
+            (2, 1): ((half, Fraction(-1, 3)),),
+            (2, -1): ((Fraction(2),), (0,)),
+        },
+    )
+    modules = [arc_module(arc, 3) for arc in enumerate_arcs(3)]
+    sums = [direct_sum(x, y) for x, y in itertools.combinations(modules, 2)]
+    rng = random.Random(11)
+    reps = [halves, *rng.sample(sums, 4)]
+    for _ in range(40):
+        source, target = rng.choice(sums), rng.choice(sums)
+        basis = hom_basis(source, target)
+        if basis:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
+            reps.extend(morphism_parts(combine_morphisms(basis, coeffs)))
+    assert any(max(rep.dims) >= 2 for rep in reps)
+    assert any(
+        x.denominator > 1 for rep in reps for m in rep.maps for row in m for x in row
+    )
+    clear_caches()
+    for source in reps:
+        for target in [*reps[:6], *modules]:
+            assert_hom_basis_matches_reference(source, target)
+            assert_hom_basis_matches_reference(target, source)

@@ -105,3 +105,37 @@ def test_submodule_convention_regression():
     assert (1, ()) in subs and (2, ()) not in subs
     quots = {f.middle() for f in factorizations(A13U, QUOTIENT)}
     assert (2, ()) in quots and (1, ()) not in quots
+
+
+def test_factorizations_are_cached_tuples():
+    for kind in (QUOTIENT, SUBMODULE):
+        first = factorizations(A13D, kind)
+        assert isinstance(first, tuple)
+        assert factorizations(A13D, kind) is first
+
+
+def test_graph_maps_order_is_pinned():
+    def spelled(alpha, beta):
+        return [f"{gm.quotient} {gm.submodule}" for gm in graph_maps(alpha, beta)]
+
+    zigzag = Arc(1, 6, frozenset({3, 5}))
+    assert spelled(zigzag, Arc(1, 6, frozenset({2, 4}))) == [
+        "(- | - | a1 a2- a3 a4-) (- | - | a1- a2 a3- a4)",
+        "(a1 a2- | - | a3 a4-) (a1- a2 | - | a3- a4)",
+        "(a1 a2- a3 a4- | - | -) (a1- a2 a3- a4 | - | -)",
+    ]
+    assert spelled(Arc(1, 5, frozenset({3})), Arc(1, 5, frozenset({2}))) == [
+        "(- | - | a1 a2- a3) (- | - | a1- a2 a3)",
+        "(a1 a2- | a3 | -) (a1- a2 | a3 | -)",
+    ]
+    assert spelled(A13D, Arc(1, 2)) == ["(- | - | a1) (- | - | -)"]
+    assert spelled(Arc(1, 2), A13D) == []
+
+
+def test_graph_maps_returns_a_fresh_list():
+    first = graph_maps(A13D, A13D)
+    assert len(first) == 1
+    first.clear()
+    first_again = graph_maps(A13D, A13D)
+    assert len(first_again) == 1 and first_again is not first
+    assert graph_map_count(A13D, A13D) == 1
