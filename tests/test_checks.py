@@ -4,6 +4,7 @@ import arcbricks.arcs as arcs
 import arcbricks.checks as checks
 import arcbricks.mutation as mutation
 import arcbricks.quiver as quiver
+import arcbricks.strings as strings
 from arcbricks.arcs import double_diagram
 from arcbricks.checks import CRITERIA, run_criterion, run_suite
 from arcbricks.cli import main
@@ -126,6 +127,8 @@ def test_clear_caches_empties_every_package_cache(clear_caches):
         arcs.nad_table,
         arcs._interned_arc,
         mutation._graph_map_out_masks,
+        strings.factorizations,
+        strings._submodules_by_middle,
     )
     assert run_criterion(criterion("04"), max_n=1).passed
     assert run_criterion(criterion("08"), max_n=3).passed
