@@ -18,7 +18,6 @@ from .arcs import (
     enumerate_nad,
     is_crossing,
     restrict_green,
-    restrict_red,
 )
 from .mutation import (
     MutationError,
@@ -32,13 +31,9 @@ from .mutation import (
 )
 from .permutations import (
     Permutation,
-    covers,
     descents,
-    from_inversions,
-    inversions,
     join,
     left_multiply_simple,
-    meet,
     parse_permutation,
     weak_leq,
 )

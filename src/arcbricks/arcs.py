@@ -70,15 +70,6 @@ class Arc:
         return {"left": self.left, "right": self.right, "above": sorted(self.above)}
 
 
-def arc_from_json(data: dict) -> Arc:
-    """Inverse of ``Arc.to_json``; malformed input raises ``ValueError``."""
-    ok = isinstance(data, dict) and isinstance(data.get("above", []), list)
-    points = [data.get("left"), data.get("right"), *data.get("above", [])] if ok else []
-    if not points or not all(type(x) is int for x in points):
-        raise ValueError(f"an arc needs integer left, right and above points, got {data!r}")
-    return Arc(points[0], points[1], frozenset(points[2:]))
-
-
 def is_crossing(alpha: Arc, beta: Arc) -> bool:
     """Whether the two arcs must cross at a non-endpoint.
 
@@ -196,10 +187,6 @@ def _interned_arc(left: int, right: int, above: int) -> Arc:
 
 def restrict_green(diagram: ColoredDiagram) -> frozenset[Arc]:
     return frozenset(diagram.green_arcs())
-
-
-def restrict_red(diagram: ColoredDiagram) -> frozenset[Arc]:
-    return frozenset(diagram.red_arcs())
 
 
 def arc_to_join_irreducible(arc: Arc, n: int) -> Permutation:

@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache
 from typing import Any, Callable, Iterator
 
 from .arcs import (
+    Arc,
     ColoredDiagram,
-    arc_to_join_irreducible,
     check_nad,
+    diagram_to_permutation,
     double_diagram,
     enumerate_arcs,
     enumerate_nad,
@@ -36,18 +37,26 @@ from .mutation import (
     mutate_dad,
     mutate_smc_collection,
     psi,
+    smc_axiom_check,
     smc_leq,
     weak_order_hasse,
 )
 from .permutations import (
     all_permutations,
     descents,
-    identity_permutation,
-    join,
     left_multiply_simple,
     weak_leq,
 )
-from .quiver import arc_module, ext1_dim, hom_dim, is_brick, quad
+from .linalg import is_zero
+from .quiver import (
+    arc_module,
+    check_relations,
+    ext1_dim,
+    hom_dim,
+    is_brick,
+    is_semibrick,
+    quad,
+)
 from .quotients import (
     arc_killed_by,
     family_count,
@@ -58,7 +67,7 @@ from .quotients import (
     radical_square_ideal,
     two_cycle_ideal,
 )
-from .strings import graph_map_count
+from .strings import graph_map_count, graph_maps, materialize
 
 Case = tuple[str, Any, Any]
 
@@ -116,26 +125,45 @@ def _bijection_counts(n: int) -> Iterator[Case]:
 
 def _brick_classification(n: int) -> Iterator[Case]:
     """Arc counts match the closed formula and the single-descent count;
-    every arc module is a brick of quadratic value 2 with no self-extension."""
+    every arc module satisfies the mesh relations and is a brick of
+    quadratic value 2 with no self-extension."""
     arcs = enumerate_arcs(n)
     yield "arcs", len(arcs), 2 ** (n + 1) - n - 2
     single = sum(1 for w in all_permutations(n) if len(descents(w)) == 1)
     yield "single-descent words", single, len(arcs)
     for arc in arcs:
         module = arc_module(arc, n)
+        yield f"{arc} satisfies the relations", check_relations(module), True
         yield f"{arc} is a brick", is_brick(module), True
         yield f"{arc} quadratic value", quad(module.dims), 2
         yield f"{arc} self-extension", ext1_dim(module, module), 0
 
 
+def _independent_morphisms(maps, n: int) -> bool:
+    """Each graph map, made concrete, is a morphism with a nonempty vertex
+    support, and the supports are pairwise disjoint, so the maps are
+    linearly independent."""
+    covered: set[int] = set()
+    for gm in maps:
+        f = materialize(gm, n)
+        support = {v for v, m in enumerate(f.mats, start=1) if not is_zero(m)}
+        if not (f.is_valid() and support) or support & covered:
+            return False
+        covered |= support
+    return True
+
+
 def _graph_maps_equal_linear_algebra(n: int) -> Iterator[Case]:
-    """Graph-map counts reproduce hom dimensions on every ordered arc pair."""
+    """Graph maps form a basis of Hom on every ordered arc pair: they are
+    independent morphisms, as many as the hom dimension."""
     arcs = enumerate_arcs(n)
     homs = _hom_table(n)
     for i, a in enumerate(arcs):
         for j, b in enumerate(arcs):
-            label = f"{a}->{b} graph maps vs hom dimension"
-            yield label, graph_map_count(a, b), homs[i][j]
+            label = f"{a}->{b} graph maps"
+            yield f"{label} vs hom dimension", graph_map_count(a, b), homs[i][j]
+            independent = _independent_morphisms(graph_maps(a, b), n)
+            yield f"{label} are independent morphisms", independent, True
 
 
 def _orthogonality_iff_noncrossing(n: int) -> Iterator[Case]:
@@ -157,7 +185,8 @@ def _orthogonality_iff_noncrossing(n: int) -> Iterator[Case]:
 
 def _semibrick_oracle(n: int) -> Iterator[Case]:
     """The pairwise hom-orthogonal arc sets, read off the hom table, are
-    exactly the (n+1)! green diagrams."""
+    exactly the (n+1)! green diagrams, and the modules of each green diagram
+    form a semibrick."""
     arcs = enumerate_arcs(n)
     homs = _hom_table(n)
     size = len(arcs)
@@ -168,7 +197,11 @@ def _semibrick_oracle(n: int) -> Iterator[Case]:
     orthogonal = {
         frozenset(arcs[j] for j in idx) for idx in iter_compatible_index_sets(masks)
     }
-    greens = {restrict_green(double_diagram(w)) for w in all_permutations(n)}
+    green_of = {w: restrict_green(double_diagram(w)) for w in all_permutations(n)}
+    for w, green in green_of.items():
+        modules = [arc_module(arc, n) for arc in green]
+        yield f"w={w} green modules form a semibrick", is_semibrick(modules), True
+    greens = set(green_of.values())
     yield "orthogonal sets", len(orthogonal), math.factorial(n + 1)
     for label, extra in (
         ("orthogonal sets that are not green diagrams", orthogonal - greens),
@@ -190,11 +223,13 @@ def _mutation_compatibility(n: int) -> Iterator[Case]:
 
 
 def _module_mutation_oracle(n: int) -> Iterator[Case]:
-    """Module-level mutation matches the diagram route member by member, at
-    every descent of every word.  A module route that gives up (no unique
-    extension middle, say) is a failed case, not an abort of the sweep."""
+    """Every image psi(D_w) satisfies the collection axioms, and module-level
+    mutation matches the diagram route member by member, at every descent of
+    every word.  A module route that gives up (no unique extension middle,
+    say) is a failed case, not an abort of the sweep."""
     images = {w: psi(double_diagram(w)) for w in all_permutations(n)}
     for w, members in images.items():
+        yield f"w={w} collection axioms", smc_axiom_check(members, n), True
         for i in descents(w):
             expected = images[left_multiply_simple(i, w)]
             try:
@@ -215,16 +250,11 @@ def _order_criterion(n: int) -> Iterator[Case]:
 
 def _canonical_join_representations(n: int) -> Iterator[Case]:
     """Green arcs are join-irreducible joinands of w, irredundantly."""
-
-    def join_all(words):
-        return reduce(join, words, identity_permutation(n))
-
     for w in all_permutations(n):
-        greens = sorted(restrict_green(double_diagram(w)), key=lambda a: a.sort_key())
-        joinands = [arc_to_join_irreducible(a, n) for a in greens]
-        yield f"w={w} join of joinands", join_all(joinands), w
-        for k, arc in enumerate(greens):
-            sub = join_all(joinands[:k] + joinands[k + 1 :])
+        greens = restrict_green(double_diagram(w))
+        yield f"w={w} join of joinands", diagram_to_permutation(greens, n), w
+        for arc in sorted(greens, key=Arc.sort_key):
+            sub = diagram_to_permutation(greens - {arc}, n)
             yield f"w={w} dropping {arc} is strict", sub != w and weak_leq(sub, w), True
 
 

@@ -127,6 +127,8 @@ def cmd_hasse(args) -> int:
 def cmd_count(args) -> int:
     if args.n > ARC_ENUM_CAP:
         raise CliError(EXIT_CAP, f"count cap is n <= {ARC_ENUM_CAP}")
+    if args.ideal is not None and args.family != "custom":
+        raise CliError(EXIT_USAGE, "--ideal needs --family custom")
     ideal = None
     if args.family == "custom":
         if not args.ideal:

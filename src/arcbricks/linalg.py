@@ -56,12 +56,6 @@ def matmul(a: Matrix, b: Matrix, b_ncols: int | None = None) -> Matrix:
     return tuple(out)
 
 
-def matsub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def is_zero(m: Matrix) -> bool:
     return all(x == 0 for row in m for x in row)
 

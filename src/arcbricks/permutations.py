@@ -7,9 +7,9 @@ appearing after ``b`` in the word.  Covers swap adjacent positions, and the
 left action of the simple generator ``s_i`` swaps positions ``i`` and
 ``i + 1`` (1-based).
 
-On the hot paths an inversion set is a tuple of bitmask rows, one per value
-``a``, with bit ``b - 1`` set when ``(a, b)`` is an inversion: containment
-is ``x & ~y == 0`` row by row, and the join closes the OR of the rows.
+An inversion set is a tuple of bitmask rows, one per value ``a``, with
+bit ``b - 1`` set when ``(a, b)`` is an inversion: containment is
+``x & ~y == 0`` row by row, and the join closes the OR of the rows.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-
-InversionSet = frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -56,39 +54,22 @@ class Permutation:
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse "4312" (single digits) or "10,3,1,..." (comma separated)."""
+    """Parse "4312" (single digits) or "10,3,1,..." (comma separated); only
+    ASCII digits count as digits."""
     text = text.strip()
-    if "," in text:
-        values = tuple(int(tok) for tok in text.split(","))
-    else:
-        if not text.isdigit():
-            raise ValueError(f"malformed permutation: {text!r}")
-        values = tuple(int(ch) for ch in text)
-    return Permutation(values)
+    tokens = [tok.strip() for tok in text.split(",")] if "," in text else list(text)
+    if not tokens or not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ValueError(f"malformed permutation: {text!r}")
+    return Permutation(tuple(int(tok) for tok in tokens))
 
 
 def identity_permutation(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 2)))
 
 
-def longest_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(n + 1, 0, -1)))
-
-
 def all_permutations(n: int) -> list[Permutation]:
     """All of W_n in lexicographic word order."""
     return [Permutation(word) for word in itertools.permutations(range(1, n + 2))]
-
-
-def inversions(w: Permutation) -> InversionSet:
-    """Value pairs (a, b), a < b, with a appearing after b in the word."""
-    n1 = len(w.word)
-    return frozenset(
-        (a, b)
-        for a, row in enumerate(w.inversion_rows, start=1)
-        for b in range(a + 1, n1 + 1)
-        if row >> (b - 1) & 1
-    )
 
 
 def weak_leq(u: Permutation, w: Permutation) -> bool:
@@ -109,18 +90,6 @@ def left_multiply_simple(i: int, w: Permutation) -> Permutation:
     word = list(w.word)
     word[i - 1], word[i] = word[i], word[i - 1]
     return Permutation(tuple(word))
-
-
-def covers(w: Permutation, direction: str) -> list[Permutation]:
-    """Adjacent-swap covers: "down" swaps descent pairs, "up" swaps ascents."""
-    if direction not in ("up", "down"):
-        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    out = []
-    for i in range(1, len(w.word)):
-        descending = w.word[i - 1] > w.word[i]
-        if descending == (direction == "down"):
-            out.append(left_multiply_simple(i, w))
-    return out
 
 
 def _from_rows(rows: list[int]) -> Permutation:
@@ -147,18 +116,6 @@ def _from_rows(rows: list[int]) -> Permutation:
     return w
 
 
-def from_inversions(pairs: InversionSet, n: int) -> Permutation:
-    """The unique permutation with the given inversion set; a set that is
-    not biclosed raises ``ValueError``."""
-    n1 = n + 1
-    rows = [0] * n1
-    for a, b in pairs:
-        if not 1 <= a < b <= n1:
-            raise ValueError("inversion set is not biclosed")
-        rows[a - 1] |= 1 << (b - 1)
-    return _from_rows(rows)
-
-
 def join(u: Permutation, w: Permutation) -> Permutation:
     """Lattice join: transitive closure of the union of inversion sets.
 
@@ -176,13 +133,3 @@ def join(u: Permutation, w: Permutation) -> Permutation:
                 if rows[a] & bit:
                     rows[a] |= row_b
     return _from_rows(rows)
-
-
-def complement(w: Permutation) -> Permutation:
-    """Value complement c(w)_i = n + 2 - w_i, an anti-automorphism."""
-    n2 = len(w.word) + 1
-    return Permutation(tuple(n2 - v for v in w.word))
-
-
-def meet(u: Permutation, w: Permutation) -> Permutation:
-    return complement(join(complement(u), complement(w)))

@@ -71,9 +71,10 @@ def parse_arrow(name: str) -> Arrow:
     name = name.strip()
     sign = -1 if name.endswith("-") else 1
     body = name[:-1] if sign < 0 else name
-    if not body.startswith("a") or not body[1:].isdigit():
+    digits = body[1:]
+    if not (body.startswith("a") and digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad arrow name {name!r}")
-    return (int(body[1:]), sign)
+    return (int(digits), sign)
 
 
 @dataclass(frozen=True)
@@ -142,33 +143,6 @@ class Representation:
         }
 
 
-def representation_from_json(data: dict, n: int) -> Representation:
-    """Inverse of ``Representation.to_json``; malformed input raises
-    ``ValueError``."""
-    raw_arrows = data.get("arrows", {}) if isinstance(data, dict) else None
-    if not (isinstance(raw_arrows, dict) and isinstance(data.get("dims"), list)):
-        raise ValueError(f"need a dims list and an arrows object, got {data!r}")
-    named = {}
-    for key, raw in raw_arrows.items():
-        a = parse_arrow(key)
-        if a in named:
-            raise ValueError(f"arrow {arrow_name(a)} is named twice, again as {key!r}")
-        named[a] = _matrix_from_json(raw)
-    return make_representation(n, data["dims"], named)
-
-
-def _matrix_from_json(raw) -> Matrix:
-    if isinstance(raw, list) and all(
-        isinstance(row, list) and all(isinstance(x, (str, int)) for x in row)
-        for row in raw
-    ):
-        try:
-            return linalg.mat(raw)
-        except ZeroDivisionError:
-            pass
-    raise ValueError(f"a matrix is a list of rows of exact numbers, got {raw!r}")
-
-
 def make_representation(n: int, dims, named_maps: dict[Arrow, Matrix]) -> Representation:
     """Build a representation from the nonzero maps; the rest are zero.  A
     map on an arrow outside the rank-n quiver raises ``ValueError``."""
@@ -187,15 +161,6 @@ def make_representation(n: int, dims, named_maps: dict[Arrow, Matrix]) -> Repres
             m = linalg.zeros(dims[arrow_target(a) - 1], dims[arrow_source(a) - 1])
         maps.append(m)
     return Representation(n, dims, tuple(maps))
-
-
-def zero_representation(n: int) -> Representation:
-    return make_representation(n, (0,) * n, {})
-
-
-def simple_representation(n: int, v: int) -> Representation:
-    dims = tuple(1 if i == v else 0 for i in range(1, n + 1))
-    return make_representation(n, dims, {})
 
 
 @cache
@@ -228,7 +193,7 @@ def check_relations(rep: Representation) -> bool:
             if v > 1
             else linalg.zeros(d, d)
         )
-        if not linalg.is_zero(linalg.matsub(right, left)):
+        if right != left:
             return False
     return True
 
@@ -243,11 +208,12 @@ class Morphism:
         return self.mats[v - 1]
 
     def is_valid(self) -> bool:
+        """Every square commutes: f_t X_a = Y_a f_s on each arrow a : s -> t."""
         for a in arrows(self.source.n):
             s, t = arrow_source(a), arrow_target(a)
             lhs = linalg.matmul(self.mat(t), self.source.map(a), self.source.dim(s))
             rhs = linalg.matmul(self.target.map(a), self.mat(s), self.source.dim(s))
-            if not linalg.is_zero(linalg.matsub(lhs, rhs)):
+            if lhs != rhs:
                 return False
         return True
 
@@ -256,17 +222,6 @@ class Morphism:
             linalg.rank(self.mat(v)) == self.source.dim(v)
             for v in range(1, self.source.n + 1)
         )
-
-
-def zero_morphism(source: Representation, target: Representation) -> Morphism:
-    mats = tuple(
-        linalg.zeros(target.dim(v), source.dim(v)) for v in range(1, source.n + 1)
-    )
-    return Morphism(source, target, mats)
-
-
-def identity_morphism(rep: Representation) -> Morphism:
-    return Morphism(rep, rep, tuple(linalg.identity(d) for d in rep.dims))
 
 
 @cache

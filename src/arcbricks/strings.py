@@ -116,9 +116,6 @@ class GraphMap:
     quotient: Factorization
     submodule: Factorization
 
-    def middle(self) -> tuple[int, tuple[Arrow, ...]]:
-        return self.quotient.middle()
-
 
 @cache
 def _submodules_by_middle(arc: Arc) -> dict[tuple, tuple[Factorization, ...]]:

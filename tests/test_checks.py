@@ -1,6 +1,7 @@
 """The criteria table: its names and suites, and that a broken route fails."""
 
 import arcbricks.arcs as arcs
+import arcbricks.linalg as linalg
 import arcbricks.checks as checks
 import arcbricks.mutation as mutation
 import arcbricks.quiver as quiver
@@ -8,7 +9,12 @@ import arcbricks.strings as strings
 from arcbricks.arcs import double_diagram
 from arcbricks.checks import CRITERIA, run_criterion, run_suite
 from arcbricks.cli import main
-from arcbricks.permutations import all_permutations, descents, weak_leq
+from arcbricks.permutations import (
+    all_permutations,
+    descents,
+    identity_permutation,
+    weak_leq,
+)
 from arcbricks.strings import graph_map_count
 
 
@@ -48,6 +54,67 @@ def test_wrong_graph_map_count_fails_criterion_03(monkeypatch):
     assert not result.passed
     assert result.counterexample.startswith("n=3 ")
     assert result.detail.endswith("121 failure(s)")
+
+
+def test_duplicated_graph_maps_fail_criterion_03(monkeypatch):
+    # the counts still come from graph_map_count: only the basis cases fail
+    monkeypatch.setattr(checks, "graph_maps", lambda a, b: strings.graph_maps(a, b) * 2)
+    result = run_criterion(criterion("03"), max_n=3)
+    assert not result.passed
+    assert "are independent morphisms: got False" in result.counterexample
+
+
+def test_graph_maps_one_vertex_too_wide_fail_criterion_03(monkeypatch):
+    # identity on every vertex both modules support: a commuting square
+    # breaks wherever only one module carries an arrow
+    def too_wide(gm, n):
+        f = strings.materialize(gm, n)
+        mats = tuple(
+            linalg.identity(1) if f.source.dim(v) == f.target.dim(v) == 1 else m
+            for v, m in enumerate(f.mats, start=1)
+        )
+        return quiver.Morphism(f.source, f.target, mats)
+
+    monkeypatch.setattr(checks, "materialize", too_wide)
+    result = run_criterion(criterion("03"), max_n=3)
+    assert not result.passed
+    assert "are independent morphisms: got False" in result.counterexample
+
+
+def test_a_module_off_the_mesh_relations_fails_criterion_02(clear_caches, monkeypatch):
+    # both arrows between v1 and v2 carry the identity, so the two 2-cycles
+    # at v1 and v2 disagree
+    def doubled(arc, n):
+        module = quiver.arc_module(arc, n)
+        if (arc.left, arc.right) != (1, 3):
+            return module
+        one = linalg.identity(1)
+        return quiver.make_representation(n, module.dims, {(1, 1): one, (1, -1): one})
+
+    monkeypatch.setattr(checks, "arc_module", doubled)
+    result = run_criterion(criterion("02"), max_n=2)
+    assert not result.passed
+    assert result.counterexample == (
+        "n=2 arc(1,3;2v) satisfies the relations: got False, expected True"
+    )
+
+
+def test_a_repeated_member_fails_the_axioms_of_criterion_07(monkeypatch):
+    monkeypatch.setattr(checks, "psi", lambda d: (mutation.psi(d)[0],) * d.n)
+    result = run_criterion(criterion("07"), max_n=3)
+    assert not result.passed
+    assert result.counterexample == (
+        "n=3 w=1234 collection axioms: got False, expected True"
+    )
+
+
+def test_a_wrong_join_irreducible_fails_criterion_09(monkeypatch):
+    monkeypatch.setattr(
+        arcs, "arc_to_join_irreducible", lambda arc, n: identity_permutation(n)
+    )
+    result = run_criterion(criterion("09"), max_n=2)
+    assert not result.passed
+    assert result.counterexample.startswith("n=1 w=21 join of joinands: got 12")
 
 
 def test_negated_weak_order_fails_criterion_08(monkeypatch):

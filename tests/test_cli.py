@@ -207,6 +207,12 @@ def test_out_file(tmp_path, capsys):
         ("count --family custom --n 2 --ideal [1]", "list of strings"),
         ("count --n 0", "need n >= 1"),
         ("count --family custom --n 2 --ideal {}", "list of strings"),
+        ('count --n 3 --family nad --ideal ["a1"]', "--ideal needs --family custom"),
+        ('count --n 3 --family rnad --ideal []', "--ideal needs --family custom"),
+        ('count --n 3 --ideal ["a1-"]', "--ideal needs --family custom"),
+        ('count --family custom --n 3 --ideal ["a²"]', "bad arrow name"),
+        ('count --family custom --n 3 --ideal ["a٣"]', "bad arrow name"),
+        ("map --n 2 --perm 3٢1", "malformed permutation"),
         ("map --n 2 --perm 321 --out /nonexistent/x", "cannot write /nonexistent/x"),
         ("check --max-n 0", "need n >= 1"),
         ("check --max-n -2", "need n >= 1"),

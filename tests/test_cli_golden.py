@@ -91,7 +91,7 @@ PINNED = {
     "render": "829999a9142d2a625fe70c542f987a8d5271b338b8e392bb660edb48a974cd73",
     "hasse": "56597ef10b4861106447c0137437c315420e930afd65880a6554c9a1becdda7c",
     "count": "e02a2d54b3da9114237479968608c9ad2c192a673bd38dd2b1e606dd5987d619",
-    "check": "8fd50dfb7a20429a963f7e78cb8b83446fc13b8951c6ecb4712ad7c29efe48ba",
+    "check": "ea786c9a78b4e713990c6a2e69996b9263ddcb72bc485a45571ac074d8fc2f20",
 }
 
 

@@ -7,7 +7,6 @@ from arcbricks.linalg import (
     identity,
     mat,
     matmul,
-    matsub,
     nullspace,
     rank,
     rref,
@@ -53,7 +52,6 @@ def test_solve_matrix():
 
 def test_empty_shapes():
     assert matmul(zeros(2, 0), (), b_ncols=3) == zeros(2, 3)
-    assert matsub(zeros(2, 2), zeros(2, 2)) == zeros(2, 2)
     assert transpose((), ncols=2) == ((), ())
 
 

@@ -25,7 +25,7 @@ from arcbricks.permutations import (
     parse_permutation,
     weak_leq,
 )
-from arcbricks.quiver import arc_module, make_representation, simple_representation
+from arcbricks.quiver import arc_module, make_representation
 
 from expected_diagrams import MUTATION_EDGES_RANK3
 
@@ -144,7 +144,7 @@ def test_smc_axiom_check():
     for n in (2, 3):
         for w in all_permutations(n):
             assert smc_axiom_check(psi(double_diagram(w)), n)
-    s1 = simple_representation(2, 1)
+    s1 = arc_module(Arc(1, 2), 2)  # the simple module at vertex 1
     assert not smc_axiom_check(((s1, 0), (s1, 1)), 2)
     assert not smc_axiom_check(
         ((s1, 0), (arc_module(Arc(1, 3), 2), 0)), 2
@@ -216,7 +216,7 @@ def test_mutate_smc_matches_diagram_route():
 
 
 def test_collections_match_is_shift_sensitive():
-    s1 = simple_representation(2, 1)
+    s1 = arc_module(Arc(1, 2), 2)  # the simple module at vertex 1
     assert collections_match(((s1, 0),), ((s1, 0),))
     assert not collections_match(((s1, 0),), ((s1, 1),))
     assert not collections_match(((s1, 0),), ((s1, 0), (s1, 1)))

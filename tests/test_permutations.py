@@ -6,17 +6,12 @@ from hypothesis import strategies as st
 
 from arcbricks.permutations import (
     Permutation,
+    _from_rows,
     all_permutations,
-    complement,
-    covers,
     descents,
-    from_inversions,
     identity_permutation,
-    inversions,
     join,
     left_multiply_simple,
-    longest_permutation,
-    meet,
     parse_permutation,
     weak_leq,
 )
@@ -24,6 +19,35 @@ from arcbricks.permutations import (
 
 def P(text):
     return parse_permutation(text)
+
+
+def inversions(w):
+    """The value pairs (a, b), a < b, read off the inversion rows."""
+    n1 = len(w.word)
+    return frozenset(
+        (a, b)
+        for a, row in enumerate(w.inversion_rows, start=1)
+        for b in range(a + 1, n1 + 1)
+        if row >> (b - 1) & 1
+    )
+
+
+def from_inversions(pairs, n):
+    """``_from_rows`` on the rows of a set of value pairs; a pair outside
+    1..n+1 is not biclosed."""
+    rows = [0] * (n + 1)
+    for a, b in pairs:
+        if not 1 <= a < b <= n + 1:
+            raise ValueError("inversion set is not biclosed")
+        rows[a - 1] |= 1 << (b - 1)
+    return _from_rows(rows)
+
+
+def up_covers(w):
+    """s_i w at each ascent i: the words one inversion above w."""
+    return [
+        left_multiply_simple(i, w) for i in range(1, w.rank + 1) if w[i] < w[i + 1]
+    ]
 
 
 def reference_from_inversions(pairs, n):
@@ -74,6 +98,12 @@ def test_parse_and_str_round_trip():
     assert str(big) == "10,1,2,3,4,5,6,7,8,9"
 
 
+@pytest.mark.parametrize("text", ["1²3", "1٣2", "1,٢,3", "²,1", "", "12a", "1,,2"])
+def test_parse_permutation_accepts_only_ascii_digits(text):
+    with pytest.raises(ValueError, match="malformed permutation"):
+        parse_permutation(text)
+
+
 def test_inversions_examples():
     assert inversions(P("231")) == {(1, 2), (1, 3)}
     assert inversions(identity_permutation(3)) == frozenset()
@@ -122,7 +152,7 @@ def test_weak_leq_matches_cover_reachability():
         while changed:
             changed = False
             for w in perms:
-                for up in covers(w, "up"):
+                for up in up_covers(w):
                     if not reach[w] <= reach[up]:
                         reach[up] |= reach[w]
                         changed = True
@@ -131,31 +161,15 @@ def test_weak_leq_matches_cover_reachability():
                 assert weak_leq(u, w) == (u.word in reach[w])
 
 
-def test_covers_examples():
-    assert {str(w) for w in covers(P("123"), "up")} == {"213", "132"}
-    assert covers(P("321"), "up") == []
-    assert [str(w) for w in covers(P("231"), "down")] == ["213"]
-
-
-def test_covers_change_one_inversion():
-    for w in all_permutations(3):
-        for v in covers(w, "up"):
-            assert len(inversions(v) - inversions(w)) == 1
-            assert inversions(w) < inversions(v)
-        for v in covers(w, "down"):
-            assert len(inversions(w) - inversions(v)) == 1
-
-
-def test_join_meet_examples():
+def test_join_examples():
     assert join(P("132"), P("213")) == P("321")
-    assert meet(P("231"), P("312")) == P("123")
+    assert join(P("231"), P("312")) == P("321")
     for w in all_permutations(2):
         assert join(w, identity_permutation(2)) == w
-        assert meet(w, longest_permutation(2)) == w
 
 
-def test_join_meet_are_lattice_operations():
-    # least upper bound / greatest lower bound, checked against weak_leq
+def test_join_is_a_least_upper_bound():
+    # least upper bound, checked against weak_leq
     for n in (2, 3):
         perms = all_permutations(n)
         for u, w in itertools.product(perms, repeat=2):
@@ -164,11 +178,6 @@ def test_join_meet_are_lattice_operations():
             for z in perms:
                 if weak_leq(u, z) and weak_leq(w, z):
                     assert weak_leq(j, z)
-            m = meet(u, w)
-            assert weak_leq(m, u) and weak_leq(m, w)
-            for z in perms:
-                if weak_leq(z, u) and weak_leq(z, w):
-                    assert weak_leq(z, m)
 
 
 def test_join_is_the_brute_force_least_upper_bound():
@@ -186,18 +195,14 @@ def test_bitmask_order_matches_the_frozenset_reference():
         inv = {w: inversions(w) for w in perms}
         for u, w in itertools.product(perms, repeat=2):
             assert join(u, w) == reference_join(u, w)
-            reference_meet = complement(
-                reference_join(complement(u), complement(w))
-            )
-            assert meet(u, w) == reference_meet
             assert weak_leq(u, w) == (inv[u] <= inv[w])
 
 
-def test_absorption_laws():
-    for n in (3, 4):
-        for u, w in itertools.product(all_permutations(n), repeat=2):
-            assert join(u, meet(u, w)) == u
-            assert meet(u, join(u, w)) == u
+def test_from_rows_rejects_rows_that_are_not_biclosed():
+    # (1, 3) without (1, 2) or (2, 3) is not transitively closed
+    with pytest.raises(ValueError, match="not biclosed"):
+        _from_rows([0b100, 0, 0])
+    assert _from_rows([0b110, 0b100, 0]) == P("321")
 
 
 def test_from_inversions_examples():
@@ -265,10 +270,14 @@ def test_single_descent_is_join_irreducible():
         perms = all_permutations(n)
         for w in perms:
             one_descent = len(descents(w)) == 1
-            assert one_descent == (len(covers(w, "down")) == 1)
             strictly_below = [
                 u for u in perms if weak_leq(u, w) and u != w
             ]
+            down_covers = [
+                u for u in strictly_below
+                if not any(weak_leq(u, z) and z != u for z in strictly_below)
+            ]
+            assert one_descent == (len(down_covers) == 1)
             reducible = any(
                 join(u, v) == w
                 for u, v in itertools.combinations_with_replacement(strictly_below, 2)
@@ -282,7 +291,3 @@ def test_antisymmetry():
         if weak_leq(u, w) and weak_leq(w, u):
             assert u == w
 
-
-def test_complement_is_anti_automorphism():
-    for u, w in itertools.product(all_permutations(2), repeat=2):
-        assert weak_leq(u, w) == weak_leq(complement(w), complement(u))
