@@ -43,11 +43,28 @@ def from_inversions(pairs, n):
     return _from_rows(rows)
 
 
-def up_covers(w):
-    """s_i w at each ascent i: the words one inversion above w."""
+def covers(w, direction):
+    """s_i w at each ascent ("up") or descent ("down") i of w."""
     return [
-        left_multiply_simple(i, w) for i in range(1, w.rank + 1) if w[i] < w[i + 1]
+        left_multiply_simple(i, w)
+        for i in range(1, w.rank + 1)
+        if (w[i] > w[i + 1]) == (direction == "down")
     ]
+
+
+def longest_permutation(n):
+    return Permutation(tuple(range(n + 1, 0, -1)))
+
+
+def complement(w):
+    """Value complement c(w)_i = n + 2 - w_i, an anti-automorphism."""
+    n2 = len(w.word) + 1
+    return Permutation(tuple(n2 - v for v in w.word))
+
+
+def meet(u, w):
+    """The meet, through the complement: c(join(c(u), c(w)))."""
+    return complement(join(complement(u), complement(w)))
 
 
 def reference_from_inversions(pairs, n):
@@ -152,7 +169,7 @@ def test_weak_leq_matches_cover_reachability():
         while changed:
             changed = False
             for w in perms:
-                for up in up_covers(w):
+                for up in covers(w, "up"):
                     if not reach[w] <= reach[up]:
                         reach[up] |= reach[w]
                         changed = True
@@ -161,15 +178,32 @@ def test_weak_leq_matches_cover_reachability():
                 assert weak_leq(u, w) == (u.word in reach[w])
 
 
-def test_join_examples():
+def test_covers_examples():
+    assert {str(w) for w in covers(P("123"), "up")} == {"213", "132"}
+    assert covers(P("321"), "up") == []
+    assert [str(w) for w in covers(P("231"), "down")] == ["213"]
+
+
+def test_covers_change_one_inversion():
+    for w in all_permutations(3):
+        for v in covers(w, "up"):
+            assert len(inversions(v) - inversions(w)) == 1
+            assert inversions(w) < inversions(v)
+        for v in covers(w, "down"):
+            assert len(inversions(w) - inversions(v)) == 1
+
+
+def test_join_meet_examples():
     assert join(P("132"), P("213")) == P("321")
     assert join(P("231"), P("312")) == P("321")
+    assert meet(P("231"), P("312")) == P("123")
     for w in all_permutations(2):
         assert join(w, identity_permutation(2)) == w
+        assert meet(w, longest_permutation(2)) == w
 
 
-def test_join_is_a_least_upper_bound():
-    # least upper bound, checked against weak_leq
+def test_join_meet_are_lattice_operations():
+    # least upper bound / greatest lower bound, checked against weak_leq
     for n in (2, 3):
         perms = all_permutations(n)
         for u, w in itertools.product(perms, repeat=2):
@@ -178,6 +212,11 @@ def test_join_is_a_least_upper_bound():
             for z in perms:
                 if weak_leq(u, z) and weak_leq(w, z):
                     assert weak_leq(j, z)
+            m = meet(u, w)
+            assert weak_leq(m, u) and weak_leq(m, w)
+            for z in perms:
+                if weak_leq(z, u) and weak_leq(z, w):
+                    assert weak_leq(z, m)
 
 
 def test_join_is_the_brute_force_least_upper_bound():
@@ -196,6 +235,13 @@ def test_bitmask_order_matches_the_frozenset_reference():
         for u, w in itertools.product(perms, repeat=2):
             assert join(u, w) == reference_join(u, w)
             assert weak_leq(u, w) == (inv[u] <= inv[w])
+
+
+def test_absorption_laws():
+    for n in (3, 4):
+        for u, w in itertools.product(all_permutations(n), repeat=2):
+            assert join(u, meet(u, w)) == u
+            assert meet(u, join(u, w)) == u
 
 
 def test_from_rows_rejects_rows_that_are_not_biclosed():
@@ -291,3 +337,7 @@ def test_antisymmetry():
         if weak_leq(u, w) and weak_leq(w, u):
             assert u == w
 
+
+def test_complement_is_anti_automorphism():
+    for u, w in itertools.product(all_permutations(2), repeat=2):
+        assert weak_leq(u, w) == weak_leq(complement(w), complement(u))
