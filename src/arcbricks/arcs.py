@@ -189,8 +189,10 @@ def restrict_green(diagram: ColoredDiagram) -> frozenset[Arc]:
     return frozenset(diagram.green_arcs())
 
 
+@cache
 def arc_to_join_irreducible(arc: Arc, n: int) -> Permutation:
-    """The single-descent permutation whose lone green arc is the given one.
+    """The single-descent permutation whose lone green arc is the given one,
+    built once per ``(arc, n)``.
 
     The word is two ascending runs: values left of the span, the below
     points, then the right endpoint; followed by the left endpoint, the

@@ -290,7 +290,7 @@ CRITERIA = (
     Criterion("01", "bijection", range(1, 8), _bijection_counts),
     Criterion("02", "bijection", range(1, 9), _brick_classification),
     Criterion("03", "homs", range(3, 8), _graph_maps_equal_linear_algebra),
-    Criterion("04", "homs", range(1, 8), _orthogonality_iff_noncrossing),
+    Criterion("04", "homs", range(1, 9), _orthogonality_iff_noncrossing),
     Criterion("05", "bijection", range(3, 8), _semibrick_oracle),
     Criterion("06", "mutation", range(3, 7), _mutation_compatibility),
     Criterion("07", "mutation", range(3, 7), _module_mutation_oracle),

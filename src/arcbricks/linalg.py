@@ -1,23 +1,27 @@
 """Small exact linear algebra over the rationals.
 
 Matrices are tuples of row tuples of ``fractions.Fraction`` (``int`` entries
-are accepted too).  Elimination is fraction-free: ``_echelon`` scales each row
-to integers by the lcm of its denominators, eliminates with integer row
-operations, and keeps every row primitive by dividing out the gcd of its
-entries.  ``Fraction``s are built only at the end, when a row is divided by
-its pivot, so the results are the unique reduced row echelon form and the
-canonical kernel basis it determines.  An ``r x 0`` or ``0 x c`` matrix is a
-legitimate value; it is represented by ``r`` empty rows plus an explicit
-column count where one is needed.
+are accepted too).  There is one elimination routine, ``echelon``, and it
+works on sparse integer rows: a ``Row`` maps a column to its nonzero ``int``
+entry.  ``integer_rows`` scales each rational row by the lcm of its
+denominators; the dense entry points ``rref``, ``rank``, ``nullspace`` and
+``solve_matrix`` go through it, and ``quiver`` assembles its hom systems
+directly as ``Row``s.  Elimination is fraction-free and keeps the rows it
+produces primitive.  ``Fraction``s are built only at the end, when a row is
+divided by its pivot, so the results are the unique reduced row echelon form
+and the canonical kernel basis it determines.  An ``r x 0`` or ``0 x c``
+matrix is a legitimate value; it is represented by ``r`` empty rows plus an
+explicit column count where one is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Row = dict[int, int]  # column -> nonzero integer entry
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,90 +70,115 @@ def transpose(m: Matrix, ncols: int | None = None) -> Matrix:
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
-def _echelon(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination.
+def integer_rows(rows: Iterable[Iterable[tuple[int, Fraction | int]]]) -> list[Row]:
+    """Sparse integer rows from rows of ``(column, rational)`` pairs, each
+    scaled by the lcm of its denominators; zero entries and zero rows are
+    dropped."""
+    out = []
+    for row in rows:
+        row = [(j, x) for j, x in row if x]
+        if row:
+            den = lcm(*(x.denominator for _, x in row))
+            out.append({j: x.numerator * (den // x.denominator) for j, x in row})
+    return out
 
-    Returns integer rows, one per pivot, and their pivot columns.  Row ``r``
-    is nonzero in column ``pivots[r]`` and zero in every other pivot column,
-    so dividing it by that entry gives row ``r`` of the reduced row echelon
-    form.  Eliminating with pivot ``p`` replaces a row whose entry is ``f``
-    by ``p * row - f * prow`` and then divides it by its content.
+
+def _eliminate(row: Row, prow: Row, c: int) -> Row:
+    """``row`` with its column-``c`` entry cleared by the pivot row ``prow``
+    (``p * row - f * prow``, with ``p`` and ``f`` the two column-``c``
+    entries over their gcd), divided by its content."""
+    f, p = row[c], prow[c]
+    g = gcd(f, p)
+    f, p = f // g, p // g
+    out = {k: p * x for k, x in row.items()} if p != 1 else dict(row)
+    for k, y in prow.items():
+        x = out.get(k, 0) - f * y
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    return {k: x // g for k, x in out.items()} if g > 1 else out
+
+
+def echelon(rows: Iterable[Row]) -> dict[int, Row]:
+    """Fraction-free elimination of sparse integer rows; the one
+    elimination routine.
+
+    Rows are added one at a time: each is reduced against the pivot rows by
+    its leading column until that column has no pivot row, and then becomes
+    the pivot row of it.  A back-reduction then clears every pivot row's
+    entries in the other pivot columns, latest pivots first.  The result
+    maps each pivot column to its row; dividing a row by its pivot entry
+    gives that row of the reduced row echelon form.  The input rows are not
+    modified.
     """
-    rows = []
-    for row in m:
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        if any(ints):
-            rows.append(ints)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                row = [p * x - f * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            row = _eliminate(row, prow, c)
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        for c in [c for c in row if c != p and c in pivots]:
+            row = _eliminate(row, pivots[c], c)
+        pivots[p] = row
+    return pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    rows, pivots = _echelon(m)
+    pivots = echelon(integer_rows(map(enumerate, m)))
     ncols = len(m[0]) if m else 0
-    red = [
-        tuple(Fraction(x, row[p]) if x else ZERO for x in row)
-        for row, p in zip(rows, pivots)
-    ]
+    order = tuple(sorted(pivots))
+    red = []
+    for p in order:
+        row = pivots[p]
+        d = row[p]
+        red.append(
+            tuple(Fraction(row[j], d) if j in row else ZERO for j in range(ncols))
+        )
     red += [(ZERO,) * ncols] * (len(m) - len(red))
-    return tuple(red), tuple(pivots)
+    return tuple(red), order
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m)[1])
+    return len(echelon(integer_rows(map(enumerate, m))))
 
 
-def nullspace(m: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Canonical kernel basis of ``m`` (acting on column vectors).
+def kernel(rows: Iterable[Row], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Canonical kernel basis of sparse integer rows in ``ncols`` unknowns.
 
     Each free column, in increasing index order, contributes one basis vector
     with a 1 in that coordinate; the result is the standard reduced echelon
     parametrization, so callers get a deterministic basis.  The entries are
-    read straight from the integer rows of ``_echelon``.
+    read straight from the integer rows of ``echelon``.
 
     Contract: a vector's free coordinate is its last nonzero entry, which is
     1, and every other basis vector is 0 there.  So the basis, as columns,
     is the identity on the rows of its free coordinates.
     """
-    n = ncols if ncols is not None else (len(m[0]) if m else 0)
-    if not m or n == 0:
-        return [
-            tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)
-        ]
-    rows, pivots = _echelon(m)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        vec = [ZERO] * n
+    pivots = echelon(rows)
+    basis = {f: [ZERO] * ncols for f in range(ncols) if f not in pivots}
+    for f, vec in basis.items():
         vec[f] = ONE
-        for row, p in zip(rows, pivots):
-            if row[f]:
-                vec[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(vec))
-    return basis
+    for p, row in pivots.items():
+        d = row[p]
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = Fraction(-x, d)
+    return [tuple(vec) for vec in basis.values()]
+
+
+def nullspace(m: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
+    """``kernel`` of a dense matrix, acting on column vectors; ``ncols`` is
+    needed only when ``m`` has no rows."""
+    n = ncols if ncols is not None else (len(m[0]) if m else 0)
+    return kernel(integer_rows(map(enumerate, m)), n)
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix:

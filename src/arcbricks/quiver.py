@@ -12,20 +12,23 @@ holds at every vertex.  Arc modules are the 0/1-dimensional string
 representations read off an arc: below an interior point means the direct
 arrow carries the identity, above means the inverse one does.
 
-Hom spaces are computed by solving the commuting-square equations exactly;
+Hom spaces are computed from the commuting-square equations, which
+``_hom_system`` assembles as sparse integer rows for ``linalg.echelon``;
 Ext^1 comes from the symmetric Euler-type form and is never computed any
 other way here.  ``morphism_parts`` gives the kernel and cokernel of a
 morphism; their arrow maps are read off the canonical kernel bases of
 ``linalg.nullspace``, with no linear solve.
 
-Three functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
-``hom_basis`` on the ``(source, target)`` pair of representations and
-``morphism_parts`` on the morphism.  A ``Representation`` computes its hash
-once and keeps it, so these keys hash their ``Fraction`` entries once per
-object, not once per lookup.  It also builds its arrow table once, on first
-use: per arrow, the source and target indices, the nonzero entries of each
-column and the negated nonzero entries of each row.  ``hom_basis`` assembles
-its equations by zipping the source's and the target's tables, so a module's
+Four functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
+``hom_basis`` and ``hom_dim`` on the ``(source, target)`` pair of
+representations and ``morphism_parts`` on the morphism.  ``hom_dim`` is the
+number of unknowns minus the rank of the system (rank-nullity), so it
+builds no ``Morphism`` and keeps no basis.  A ``Representation`` computes
+its hash once and keeps it, so these keys hash their ``Fraction`` entries
+once per object, not once per lookup.  It also builds its arrow table once,
+on first use: per arrow, the source and target indices, the nonzero entries
+of each column and the negated nonzero entries of each row.
+``_hom_system`` zips the source's and the target's tables, so a module's
 matrices are scanned once, not once per pair it takes part in.
 """
 
@@ -102,6 +105,11 @@ class Representation:
         """The dataclass field hash, computed on first use and kept; the
         fields are frozen, so it cannot go stale."""
         return self._hash
+
+    @cached_property
+    def integral(self) -> bool:
+        """Whether every map entry is an integer."""
+        return all(x.denominator == 1 for m in self.maps for row in m for x in row)
 
     @cached_property
     def arrow_table(self) -> tuple[tuple[int, int, tuple, tuple], ...]:
@@ -224,28 +232,30 @@ class Morphism:
         )
 
 
-@cache
-def hom_basis(source: Representation, target: Representation) -> tuple[Morphism, ...]:
-    """Deterministic echelon basis of the space of morphisms.
+def _hom_system(
+    source: Representation, target: Representation
+) -> tuple[list[linalg.Row], list[int]]:
+    """The commuting-square equations of Hom(source, target) as sparse
+    integer rows, and the offset of each vertex's unknowns.
 
     Unknowns are the entries of the per-vertex matrices, ordered by
-    (vertex, row, column); one linear equation per arrow and entry of the
-    commuting square.  Equations are assembled sparsely, from the source's
-    column entries and the target's negated row entries in their arrow
-    tables, and equations that are identically zero are never written.  The
-    reduced-echelon kernel basis fixes the output; each basis matrix is cut
-    out of its kernel vector one row slice at a time.
+    (vertex, row, column); one equation per arrow and entry of the
+    commuting square.  Equations are assembled from the source's column
+    entries and the target's negated row entries in their arrow tables, and
+    equations that are identically zero are never written.  The arrow
+    tables hold integral entries as ``int``, so only a pair with a
+    non-integral entry needs its rows scaled.
     """
     sdims, tdims = source.dims, target.dims
     offsets = [0]
     for ds, dt in zip(sdims, tdims):
         offsets.append(offsets[-1] + dt * ds)
-    total = offsets[-1]
-
-    equations = []
+    rows = []
     for (s, t, ms_cols, _), (_, _, _, mt_rows) in zip(
         source.arrow_table, target.arrow_table
     ):
+        if not (ms_cols and mt_rows):
+            continue
         # (phi_t @ ms - mt @ phi_s)[r][c] = 0: phi_t[r][k] has coefficient
         # ms[k][c] and phi_s[k][c] has coefficient -mt[r][k].
         base_t, width_t = offsets[t], sdims[t]
@@ -255,15 +265,24 @@ def hom_basis(source: Representation, target: Representation) -> tuple[Morphism,
             for c, ms_col in enumerate(ms_cols):
                 if not (ms_col or mt_row):
                     continue
-                row = [0] * total
-                for k, x in ms_col:
-                    row[at_r + k] = x
+                row = {at_r + k: x for k, x in ms_col}
                 for k, x in mt_row:
                     row[base_s + k * width_s + c] = x
-                equations.append(row)
-    shapes = list(zip(offsets, tdims, sdims))
+                rows.append(row)
+    if not (source.integral and target.integral):
+        rows = linalg.integer_rows(row.items() for row in rows)
+    return rows, offsets
+
+
+@cache
+def hom_basis(source: Representation, target: Representation) -> tuple[Morphism, ...]:
+    """Deterministic echelon basis of the space of morphisms: the canonical
+    kernel basis of ``_hom_system``, each basis matrix cut out of its kernel
+    vector one row slice at a time."""
+    rows, offsets = _hom_system(source, target)
+    shapes = list(zip(offsets, target.dims, source.dims))
     basis = []
-    for vec in linalg.nullspace(tuple(equations), ncols=total):
+    for vec in linalg.kernel(rows, offsets[-1]):
         mats = tuple(
             tuple(
                 vec[base + r * cols_v : base + (r + 1) * cols_v]
@@ -275,8 +294,12 @@ def hom_basis(source: Representation, target: Representation) -> tuple[Morphism,
     return tuple(basis)
 
 
+@cache
 def hom_dim(source: Representation, target: Representation) -> int:
-    return len(hom_basis(source, target))
+    """dim Hom(source, target) by rank-nullity: the number of unknowns of
+    ``_hom_system`` minus its rank.  No basis is built or kept."""
+    rows, offsets = _hom_system(source, target)
+    return offsets[-1] - len(linalg.echelon(rows))
 
 
 def combine_morphisms(basis, coeffs) -> Morphism:

@@ -187,12 +187,14 @@ def test_check_command_exits_1_while_a_route_is_broken(monkeypatch, capsys):
 def test_clear_caches_empties_every_package_cache(clear_caches):
     caches = (
         quiver.hom_basis,
+        quiver.hom_dim,
         quiver.arc_module,
         quiver.morphism_parts,
         mutation._mutate_member,
         checks._hom_table,
         arcs.nad_table,
         arcs._interned_arc,
+        arcs.arc_to_join_irreducible,
         mutation._graph_map_out_masks,
         strings.factorizations,
         strings._submodules_by_middle,
@@ -201,9 +203,17 @@ def test_clear_caches_empties_every_package_cache(clear_caches):
     assert run_criterion(criterion("08"), max_n=3).passed
     assert run_criterion(criterion("10"), max_n=1).passed
     assert run_criterion(criterion("07"), max_n=3).passed
+    assert run_criterion(criterion("09"), max_n=1).passed
     assert all(cached.cache_info().currsize for cached in caches)
     clear_caches()
     assert not any(cached.cache_info().currsize for cached in caches)
+
+
+def test_a_cold_hom_table_keeps_no_hom_basis(clear_caches):
+    table = checks._hom_table(5)
+    assert len(table) == len(arcs.enumerate_arcs(5))
+    assert quiver.hom_basis.cache_info().currsize == 0
+    assert quiver.hom_dim.cache_info().currsize == len(table) ** 2
 
 
 def test_swapped_kernel_and_cokernel_fail_criterion_07(clear_caches, monkeypatch):

@@ -128,7 +128,9 @@ def all_fractions(m):
 
 
 def test_rref_rank_nullspace_match_reference():
-    for m, ncols in random_matrices(seed=7):
+    # empty, all-zero and 0-column inputs first, then random ones
+    degenerate = [((), 0), (zeros(3, 4), 4), (zeros(1, 1), 1), (((), ()), 0)]
+    for m, ncols in [*degenerate, *random_matrices(seed=7)]:
         red, pivots = rref(m)
         assert (red, pivots) == reference_rref(m)
         assert all_fractions(red)

@@ -435,6 +435,13 @@ def assert_hom_basis_matches_reference(source, target):
         assert all(type(x) is Fraction for m in f.mats for row in m for x in row)
 
 
+def test_hom_dim_is_the_size_of_the_hom_basis_on_arc_modules():
+    for n in range(1, 6):
+        modules = [arc_module(arc, n) for arc in enumerate_arcs(n)]
+        for source, target in itertools.product(modules, repeat=2):
+            assert hom_dim(source, target) == len(hom_basis(source, target))
+
+
 def test_hom_basis_matches_dense_reference_on_arc_modules():
     modules = [arc_module(arc, 4) for arc in enumerate_arcs(4)]
     for source, target in itertools.product(modules, repeat=2):
@@ -475,3 +482,5 @@ def test_hom_basis_matches_dense_reference_beyond_arc_modules(clear_caches):
         for target in [*reps[:6], *modules]:
             assert_hom_basis_matches_reference(source, target)
             assert_hom_basis_matches_reference(target, source)
+            assert hom_dim(source, target) == len(hom_basis(source, target))
+            assert hom_dim(target, source) == len(hom_basis(target, source))
