@@ -254,8 +254,6 @@ def _hom_system(
     for (s, t, ms_cols, _), (_, _, _, mt_rows) in zip(
         source.arrow_table, target.arrow_table
     ):
-        if not (ms_cols and mt_rows):
-            continue
         # (phi_t @ ms - mt @ phi_s)[r][c] = 0: phi_t[r][k] has coefficient
         # ms[k][c] and phi_s[k][c] has coefficient -mt[r][k].
         base_t, width_t = offsets[t], sdims[t]
