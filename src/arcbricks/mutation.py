@@ -12,15 +12,16 @@ of ``s_i w``; that equality is the package's central cross-check, not an
 assumption of the implementation.  ``mutate_smc_collection`` is the
 independent module-level oracle: it mutates the image under ``psi`` using
 only hom/ext computations, extension-middle searches and kernel/cokernel
-constructions, never the half twist.  Each non-pivot member goes through
-``_mutate_member``, which is ``@cache``d on ``(module, shift, pivot)``: a
-member that recurs across collections is solved once, by the same route.
+constructions, never the half twist; an extension-middle search tries only
+the one basis map of a one-dimensional hom space.  Each non-pivot member
+goes through ``_mutate_member``, which is ``@cache``d on
+``(module, shift, pivot)``: a member that recurs across collections is
+solved once, by the same route.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 
 from .arcs import (
@@ -36,7 +37,6 @@ from .permutations import Permutation, all_permutations, left_multiply_simple
 from .quiver import (
     Representation,
     arc_module,
-    combine_morphisms,
     ext1_dim,
     hom_basis,
     hom_dim,
@@ -186,22 +186,19 @@ def smc_leq(lower: ColoredDiagram, upper: ColoredDiagram) -> bool:
     return not any(reach & bits[r] for r in upper.red_arcs())
 
 
-def _injective_choices(basis, source: Representation):
-    """Candidate morphisms to test for injectivity: basis elements, then
-    generic combinations (1, t, t^2, ...) that dodge the vanishing loci."""
-    yield from basis
-    if len(basis) > 1:
-        for t in range(2, len(basis) * source.n + 3):
-            coeffs = [Fraction(t) ** k for k in range(len(basis))]
-            yield combine_morphisms(basis, coeffs)
-
-
 def _extension_middle(
     pivot: Representation, neighbor: Representation
 ) -> Representation:
     """The middle of the unique nonsplit extension of the neighbor by the
     pivot, located by searching arcs with the summed dimension vector for an
-    embedded pivot with the right cokernel."""
+    embedded pivot with the right cokernel.
+
+    Only a lone hom-basis element is tried.  The graph maps are a basis of
+    Hom between arc modules, and their vertex supports are pairwise disjoint
+    (criterion 03).  An injective map is nonzero at every vertex of the
+    pivot's support, so one graph map covers that whole support; no other
+    graph map then fits, and Hom is one-dimensional.
+    """
     n = pivot.n
     dims = tuple(p + q for p, q in zip(pivot.dims, neighbor.dims))
     support = [v for v in range(1, n + 1) if dims[v - 1]]
@@ -217,13 +214,11 @@ def _extension_middle(
         )
         candidate = arc_module(arc, n)
         basis = hom_basis(pivot, candidate)
-        for f in _injective_choices(basis, pivot):
-            if not f.is_injective():
-                continue
-            _, cokernel = morphism_parts(f)
-            if is_isomorphic(cokernel, neighbor):
-                matches.append(candidate)
-                break
+        if len(basis) != 1 or not basis[0].is_injective():
+            continue
+        _, cokernel = morphism_parts(basis[0])
+        if is_isomorphic(cokernel, neighbor):
+            matches.append(candidate)
     if len(matches) != 1:
         raise MutationError(
             f"expected one extension middle, found {len(matches)}"

@@ -13,11 +13,13 @@ representations read off an arc: below an interior point means the direct
 arrow carries the identity, above means the inverse one does.
 
 Hom spaces are computed from the commuting-square equations, which
-``_hom_system`` assembles as sparse integer rows for ``linalg.echelon``;
-Ext^1 comes from the symmetric Euler-type form and is never computed any
-other way here.  ``morphism_parts`` gives the kernel and cokernel of a
-morphism; their arrow maps are read off the canonical kernel bases of
-``linalg.nullspace``, with no linear solve.
+``_hom_system`` assembles as sparse integer rows for ``linalg.echelon``.  It
+is the one place those equations are written: ``hom_basis`` and ``hom_dim``
+eliminate its rows, and ``Morphism.is_valid`` evaluates them on a
+morphism's entries.  Ext^1 comes from the symmetric Euler-type form and is
+never computed any other way here.  ``morphism_parts`` gives the kernel and
+cokernel of a morphism; their arrow maps are read off the canonical kernel
+bases of ``linalg.nullspace``, with no linear solve.
 
 Four functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
 ``hom_basis`` and ``hom_dim`` on the ``(source, target)`` pair of
@@ -216,14 +218,19 @@ class Morphism:
         return self.mats[v - 1]
 
     def is_valid(self) -> bool:
-        """Every square commutes: f_t X_a = Y_a f_s on each arrow a : s -> t."""
-        for a in arrows(self.source.n):
-            s, t = arrow_source(a), arrow_target(a)
-            lhs = linalg.matmul(self.mat(t), self.source.map(a), self.source.dim(s))
-            rhs = linalg.matmul(self.target.map(a), self.mat(s), self.source.dim(s))
-            if lhs != rhs:
-                return False
-        return True
+        """Every square commutes: each vertex matrix is target dim x source
+        dim, and every row of ``_hom_system`` vanishes on the entries of the
+        vertex matrices, read in (vertex, row, column) order."""
+        equations, _ = _hom_system(self.source, self.target)
+        if len(self.mats) != self.source.n or any(
+            len(m) != rows or any(len(row) != cols for row in m)
+            for m, rows, cols in zip(self.mats, self.target.dims, self.source.dims)
+        ):
+            return False
+        entries = [x for m in self.mats for row in m for x in row]
+        return not any(
+            sum(x * entries[j] for j, x in row.items()) for row in equations
+        )
 
     def is_injective(self) -> bool:
         return all(
@@ -244,8 +251,11 @@ def _hom_system(
     entries and the target's negated row entries in their arrow tables, and
     equations that are identically zero are never written.  The arrow
     tables hold integral entries as ``int``, so only a pair with a
-    non-integral entry needs its rows scaled.
+    non-integral entry needs its rows scaled.  Modules of different rank
+    raise ``ValueError``.
     """
+    if source.n != target.n:
+        raise ValueError("rank mismatch")
     sdims, tdims = source.dims, target.dims
     offsets = [0]
     for ds, dt in zip(sdims, tdims):
@@ -298,25 +308,6 @@ def hom_dim(source: Representation, target: Representation) -> int:
     ``_hom_system`` minus its rank.  No basis is built or kept."""
     rows, offsets = _hom_system(source, target)
     return offsets[-1] - len(linalg.echelon(rows))
-
-
-def combine_morphisms(basis, coeffs) -> Morphism:
-    first = basis[0]
-    n = first.source.n
-    mats = []
-    for v in range(1, n + 1):
-        rows_v = first.target.dim(v)
-        cols_v = first.source.dim(v)
-        mats.append(
-            tuple(
-                tuple(
-                    sum((c * b.mat(v)[r][s] for c, b in zip(coeffs, basis)), linalg.ZERO)
-                    for s in range(cols_v)
-                )
-                for r in range(rows_v)
-            )
-        )
-    return Morphism(first.source, first.target, tuple(mats))
 
 
 def _dot(x, y) -> Fraction:

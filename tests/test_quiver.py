@@ -17,7 +17,6 @@ from arcbricks.quiver import (
     arrows,
     bilinear,
     check_relations,
-    combine_morphisms,
     ext1_dim,
     hom_basis,
     hom_dim,
@@ -53,6 +52,23 @@ def zero_morphism(source, target):
 
 def identity_morphism(rep):
     return Morphism(rep, rep, tuple(linalg.identity(d) for d in rep.dims))
+
+
+def combine_morphisms(basis, coeffs):
+    """The linear combination of morphisms with the given coefficients."""
+    first = basis[0]
+    mats = []
+    for v in range(1, first.source.n + 1):
+        mats.append(
+            tuple(
+                tuple(
+                    sum((c * b.mat(v)[r][s] for c, b in zip(coeffs, basis)), linalg.ZERO)
+                    for s in range(first.source.dim(v))
+                )
+                for r in range(first.target.dim(v))
+            )
+        )
+    return Morphism(first.source, first.target, tuple(mats))
 
 
 def test_arrow_names():
@@ -352,14 +368,6 @@ def test_maps_on_arrows_outside_the_quiver_are_rejected():
         make_representation(2, (1, 1), {(5, -1): ((1,),)})
 
 
-def test_combine_morphisms():
-    m = arc_module(A13U, 2)
-    basis = hom_basis(m, m)
-    doubled = combine_morphisms(basis, [Fraction(2)])
-    assert doubled.mat(1) == ((Fraction(2),),)
-    assert doubled.is_valid()
-
-
 # sha256 of every hom basis at n=4, as computed by the Fraction Gauss-Jordan
 # elimination the package used before fraction-free elimination; the reduced
 # echelon basis is unique, so any correct elimination reproduces it exactly,
@@ -431,7 +439,7 @@ def assert_hom_basis_matches_reference(source, target):
     basis = hom_basis(source, target)
     assert repr(basis) == repr(reference_hom_basis(source, target))
     for f in basis:
-        assert f.is_valid()
+        assert f.is_valid() and reference_is_valid(f)
         assert all(type(x) is Fraction for m in f.mats for row in m for x in row)
 
 
@@ -448,10 +456,10 @@ def test_hom_basis_matches_dense_reference_on_arc_modules():
         assert_hom_basis_matches_reference(source, target)
 
 
-def test_hom_basis_matches_dense_reference_beyond_arc_modules(clear_caches):
-    # two-dimensional vertices and non-integral entries: kernels and
-    # cokernels of combined maps between direct sums, and a module with
-    # halves on its arrows
+def modules_beyond_arc_modules():
+    """Representations with two-dimensional vertices and non-integral
+    entries: kernels and cokernels of combined maps between direct sums, and
+    a module with halves on its arrows; then the arc modules at n=3."""
     half = Fraction(1, 2)
     halves = make_representation(
         3,
@@ -477,6 +485,11 @@ def test_hom_basis_matches_dense_reference_beyond_arc_modules(clear_caches):
     assert any(
         x.denominator > 1 for rep in reps for m in rep.maps for row in m for x in row
     )
+    return reps, modules
+
+
+def test_hom_basis_matches_dense_reference_beyond_arc_modules(clear_caches):
+    reps, modules = modules_beyond_arc_modules()
     clear_caches()
     for source in reps:
         for target in [*reps[:6], *modules]:
@@ -484,3 +497,109 @@ def test_hom_basis_matches_dense_reference_beyond_arc_modules(clear_caches):
             assert_hom_basis_matches_reference(target, source)
             assert hom_dim(source, target) == len(hom_basis(source, target))
             assert hom_dim(target, source) == len(hom_basis(target, source))
+
+
+def test_hom_between_modules_of_different_rank_raises():
+    short, long = arc_module(Arc(1, 3), 2), arc_module(Arc(1, 3), 3)
+    for source, target in ((short, long), (long, short)):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            hom_dim(source, target)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            hom_basis(source, target)
+    one = linalg.identity(1)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        Morphism(short, long, (one, one)).is_valid()
+
+
+def reference_is_valid(f):
+    """Every square commutes, by dense products: f_t X_a = Y_a f_s on each
+    arrow a : s -> t, with X_a and Y_a the source's and the target's maps."""
+    for a in arrows(f.source.n):
+        s, t = arrow_source(a), arrow_target(a)
+        lhs = linalg.matmul(f.mat(t), f.source.map(a), f.source.dim(s))
+        rhs = linalg.matmul(f.target.map(a), f.mat(s), f.source.dim(s))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def random_morphism(rng, source, target, values):
+    mats = tuple(
+        tuple(
+            tuple(Fraction(rng.choice(values)) for _ in range(source.dim(v)))
+            for _ in range(target.dim(v))
+        )
+        for v in range(1, source.n + 1)
+    )
+    return Morphism(source, target, mats)
+
+
+def assert_is_valid_matches_reference(cases):
+    outcomes = set()
+    for f in cases:
+        valid = f.is_valid()
+        assert valid == reference_is_valid(f), f
+        outcomes.add(valid)
+    assert outcomes == {True, False}
+
+
+def test_is_valid_matches_dense_reference_on_arc_modules():
+    rng = random.Random(5)
+    values = (0, 0, 1, -1, 2, Fraction(1, 2))
+    cases = []
+    for n in (1, 2, 3):
+        modules = [arc_module(arc, n) for arc in enumerate_arcs(n)]
+        for source, target in itertools.product(modules, repeat=2):
+            cases += [*hom_basis(source, target), zero_morphism(source, target)]
+            cases += [random_morphism(rng, source, target, values) for _ in range(3)]
+    assert_is_valid_matches_reference(cases)
+
+
+def test_is_valid_matches_dense_reference_beyond_arc_modules():
+    rng = random.Random(7)
+    values = (0, 1, -1, Fraction(1, 3))
+    reps, modules = modules_beyond_arc_modules()
+    cases = []
+    for source in reps:
+        for target in [*reps[:6], *modules]:
+            for x, y in ((source, target), (target, source)):
+                basis = hom_basis(x, y)
+                cases += [*basis, zero_morphism(x, y), random_morphism(rng, x, y, values)]
+                if basis:
+                    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
+                    cases.append(combine_morphisms(basis, coeffs))
+    assert_is_valid_matches_reference(cases)
+
+
+def test_is_valid_rejects_wrongly_shaped_matrices():
+    s1 = simple(2, 1)  # dims (1, 0)
+    one = linalg.identity(1)
+    assert identity_morphism(s1).is_valid()
+    assert not Morphism(s1, s1, (one, one)).is_valid()
+    assert not Morphism(s1, s1, (one,)).is_valid()
+
+
+def injective_choices(basis, source):
+    """Every candidate a generic search for an injective map would try: the
+    basis elements, then the combinations with coefficients (1, t, t^2, ...)
+    for t = 2 .. len(basis) * n + 2, which dodge the vanishing loci."""
+    yield from basis
+    if len(basis) > 1:
+        for t in range(2, len(basis) * source.n + 3):
+            coeffs = [Fraction(t) ** k for k in range(len(basis))]
+            yield combine_morphisms(basis, coeffs)
+
+
+def test_an_injective_map_between_arc_modules_spans_its_hom():
+    # mutation._extension_middle tries only a lone hom-basis element: no
+    # Hom of dimension 2 or more between arc modules holds an injective map
+    injective = wide = 0
+    for n in range(1, 6):
+        modules = [arc_module(arc, n) for arc in enumerate_arcs(n)]
+        for source, target in itertools.product(modules, repeat=2):
+            basis = hom_basis(source, target)
+            wide += len(basis) >= 2
+            if any(f.is_injective() for f in injective_choices(basis, source)):
+                injective += 1
+                assert len(basis) == 1
+    assert (injective, wide) == (351, 171)
