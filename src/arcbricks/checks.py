@@ -225,8 +225,8 @@ def _mutation_compatibility(n: int) -> Iterator[Case]:
 def _module_mutation_oracle(n: int) -> Iterator[Case]:
     """Every image psi(D_w) satisfies the collection axioms, and module-level
     mutation matches the diagram route member by member, at every descent of
-    every word.  A module route that gives up (no unique extension middle,
-    say) is a failed case, not an abort of the sweep."""
+    every word.  A module route that gives up (a glued module that is not
+    the extension middle, say) is a failed case, not an abort of the sweep."""
     images = {w: psi(double_diagram(w)) for w in all_permutations(n)}
     for w, members in images.items():
         yield f"w={w} collection axioms", smc_axiom_check(members, n), True

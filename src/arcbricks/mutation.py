@@ -11,9 +11,8 @@ its span.
 of ``s_i w``; that equality is the package's central cross-check, not an
 assumption of the implementation.  ``mutate_smc_collection`` is the
 independent module-level oracle: it mutates the image under ``psi`` using
-only hom/ext computations, extension-middle searches and kernel/cokernel
-constructions, never the half twist; an extension-middle search tries only
-the one basis map of a one-dimensional hom space.  Each non-pivot member
+only hom/ext computations, extension middles glued along one arrow and
+kernel/cokernel constructions, never the half twist.  Each non-pivot member
 goes through ``_mutate_member``, which is ``@cache``d on
 ``(module, shift, pivot)``: a member that recurs across collections is
 solved once, by the same route.
@@ -21,7 +20,6 @@ solved once, by the same route.
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 
 from .arcs import (
@@ -32,16 +30,18 @@ from .arcs import (
     double_diagram,
     enumerate_arcs,
 )
-from .linalg import identity, mat, rank, solve_matrix
+from .linalg import identity, is_zero, mat, solve_matrix
 from .permutations import Permutation, all_permutations, left_multiply_simple
 from .quiver import (
     Representation,
     arc_module,
+    arrows,
     ext1_dim,
     hom_basis,
     hom_dim,
-    is_brick,
     is_isomorphic,
+    is_semibrick,
+    make_representation,
     morphism_parts,
 )
 from .strings import graph_map_count
@@ -133,31 +133,32 @@ def psi(diagram: ColoredDiagram) -> TwoTermCollection:
 
 
 def smc_axiom_check(members: TwoTermCollection, n: int) -> bool:
-    """The four collection axioms, with the basis proxy for generation.
+    """The collection axioms for a semibrick pair (Asai, "Semibricks", IMRN
+    2020, arXiv:1610.05860), with the basis proxy for generation.
 
-    sm1: every member is a brick.  sm2: homs between distinct same-shift
-    members vanish.  sm3: for a shift-0 member X and a shift-1 member Y,
-    Hom(X, Y[1][k]) vanishes in degrees k = -1 and k = 0 (Koenig-Yang), that
-    is Hom(X, Y) = 0 and Ext^1(X, Y) = 0; every such Hom from shift 1 to
-    shift 0 is automatically zero.  sm4 proxy: the signed dimension vectors
-    (+ at shift 0, - at shift 1) form a Z-basis of Z^n.  The proxy is
-    necessary, not known to be sufficient.
+    The n members sit at shift 0 (tops) or 1 (bottoms).  sm1, sm2: tops and
+    bottoms are each a semibrick.  sm3: every top X and bottom Y have
+    Hom(X, Y[1][k]) = 0 for k = -1, 0 (Koenig-Yang), that is Hom(X, Y) =
+    Ext^1(X, Y) = 0; such a Hom from a bottom to a top is automatically zero.
+    sm4 proxy: the signed dimension vectors (+ at shift 0, - at shift 1) form
+    a Z-basis of Z^n.  The proxy is necessary, not known to be sufficient.
     """
     members = tuple(members)
-    if len(members) != n:
+    tops = [m for m, shift in members if shift == 0]
+    bottoms = [m for m, shift in members if shift == 1]
+    if len(members) != n or len(tops) + len(bottoms) != n:
         return False
-    if not all(is_brick(m) for m, _ in members):
+    if not (is_semibrick(tops) and is_semibrick(bottoms)):
         return False
-    for (m, cm), (k, ck) in itertools.permutations(members, 2):
-        if cm <= ck and hom_dim(m, k) != 0:
-            return False
-        if cm < ck and ext1_dim(m, k) != 0:
-            return False
-    # An integer matrix is unimodular iff it is invertible with an integer inverse.
+    if any(hom_dim(x, y) or ext1_dim(x, y) for x in tops for y in bottoms):
+        return False
+    # An integer matrix is unimodular iff it is invertible with an integer
+    # inverse; solve_matrix raises ValueError on a singular one.
     signed = mat([[d if c == 0 else -d for d in m.dims] for m, c in members])
-    if rank(signed) != n:
+    try:
+        inverse = solve_matrix(signed, identity(n))
+    except ValueError:
         return False
-    inverse = solve_matrix(signed, identity(n))
     return all(x.denominator == 1 for row in inverse for x in row)
 
 
@@ -189,41 +190,41 @@ def smc_leq(lower: ColoredDiagram, upper: ColoredDiagram) -> bool:
 def _extension_middle(
     pivot: Representation, neighbor: Representation
 ) -> Representation:
-    """The middle of the unique nonsplit extension of the neighbor by the
-    pivot, located by searching arcs with the summed dimension vector for an
-    embedded pivot with the right cokernel.
+    """The middle E of the nonsplit extension 0 -> pivot -> E -> neighbor -> 0.
 
-    Only a lone hom-basis element is tried.  The graph maps are a basis of
-    Hom between arc modules, and their vertex supports are pairwise disjoint
-    (criterion 03).  An injective map is nonzero at every vertex of the
-    pivot's support, so one graph map covers that whole support; no other
-    graph map then fits, and Hom is one-dimensional.
+    With disjoint, adjacent supports E is forced: the pivot is a submodule
+    and the neighbor the quotient, so E carries both modules' maps, and the
+    one arrow from the neighbor's boundary vertex into the pivot's carries a
+    scalar that is nonzero (else E splits) and so rescales to 1.  E meets
+    the mesh relations: each 2-cycle through the two joining vertices passes
+    through the arrow from the pivot into the neighbor, which is zero.  The
+    glue is checked: Hom(pivot, E) is one injective map with cokernel the
+    neighbor.
     """
     n = pivot.n
     dims = tuple(p + q for p, q in zip(pivot.dims, neighbor.dims))
     support = [v for v in range(1, n + 1) if dims[v - 1]]
-    if any(d > 1 for d in dims) or support != list(
+    v = next((u for u in support if pivot.dim(u) != pivot.dim(support[0])), None)
+    if v is None or any(d > 1 for d in dims) or support != list(
         range(support[0], support[0] + len(support))
     ):
-        raise MutationError(f"summed dimension vector {dims} is not an interval")
-    p, q = support[0], support[-1] + 1
-    matches = []
-    for bits in itertools.product((False, True), repeat=q - p - 1):
-        arc = Arc(
-            p, q, frozenset(m for m, up in zip(range(p + 1, q), bits) if up)
-        )
-        candidate = arc_module(arc, n)
-        basis = hom_basis(pivot, candidate)
-        if len(basis) != 1 or not basis[0].is_injective():
-            continue
-        _, cokernel = morphism_parts(basis[0])
-        if is_isomorphic(cokernel, neighbor):
-            matches.append(candidate)
-    if len(matches) != 1:
-        raise MutationError(
-            f"expected one extension middle, found {len(matches)}"
-        )
-    return matches[0]
+        raise MutationError(f"{pivot.dims} and {neighbor.dims} do not tile an interval")
+    named = {
+        a: m
+        for module in (pivot, neighbor)
+        for a, m in zip(arrows(n), module.maps)
+        if not is_zero(m)
+    }
+    named[(v - 1, -1 if pivot.dim(v - 1) else 1)] = identity(1)
+    middle = make_representation(n, dims, named)
+    basis = hom_basis(pivot, middle)
+    if not (
+        len(basis) == 1
+        and basis[0].is_injective()
+        and is_isomorphic(morphism_parts(basis[0])[1], neighbor)
+    ):
+        raise MutationError("the glued module is not the extension middle")
+    return middle
 
 
 def mutate_smc_collection(members: TwoTermCollection, i: int) -> TwoTermCollection:

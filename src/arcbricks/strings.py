@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from . import linalg
 from .arcs import Arc
 from .quiver import Arrow, Morphism, arc_module, arrow_name
 
@@ -144,14 +143,13 @@ def graph_map_count(alpha: Arc, beta: Arc) -> int:
 
 def materialize(gm: GraphMap, n: int) -> Morphism:
     """The graph map as a concrete morphism: the identity over the shared
-    middle's vertex interval and zero elsewhere."""
+    middle's vertex interval and zero elsewhere, with ``int`` entries, so
+    ``Morphism.is_valid`` evaluates the integer hom rows on them in ints."""
     source = arc_module(gm.source, n)
     target = arc_module(gm.target, n)
     lo, hi = gm.quotient.middle_interval
-    mats = []
-    for v in range(1, n + 1):
-        if lo <= v <= hi:
-            mats.append(linalg.identity(1))
-        else:
-            mats.append(linalg.zeros(target.dim(v), source.dim(v)))
-    return Morphism(source, target, tuple(mats))
+    mats = tuple(
+        ((1,),) if lo <= v <= hi else ((0,) * source.dim(v),) * target.dim(v)
+        for v in range(1, n + 1)
+    )
+    return Morphism(source, target, mats)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from arcbricks import mutation
 from arcbricks.arcs import Arc, double_diagram, enumerate_arcs
 from arcbricks.mutation import (
     MutationError,
+    _extension_middle,
     collections_match,
     half_twist,
     hasse,
@@ -25,7 +27,15 @@ from arcbricks.permutations import (
     parse_permutation,
     weak_leq,
 )
-from arcbricks.quiver import arc_module, make_representation
+from arcbricks.quiver import (
+    arc_module,
+    check_relations,
+    ext1_dim,
+    hom_basis,
+    is_isomorphic,
+    make_representation,
+    morphism_parts,
+)
 
 from expected_diagrams import MUTATION_EDGES_RANK3
 
@@ -154,6 +164,27 @@ def test_smc_axiom_check():
     # condition of a simple-minded collection.
     s2 = arc_module(Arc(2, 3), 2)
     assert not smc_axiom_check(((arc_module(Arc(1, 2), 2), 0), (s2, 1)), 2)
+    # only shifts 0 and 1 belong to a 2-term collection
+    members = psi(D("132"))
+    for moved in ({1: 2}, {0: -1}):
+        shifted = tuple((m, moved.get(c, c)) for m, c in members)
+        assert not smc_axiom_check(shifted, 2)
+    assert not smc_axiom_check(members + ((members[0][0], 2),), 2)
+
+
+def test_smc_axiom_check_sm4_proxy_needs_a_unimodular_matrix(monkeypatch):
+    # no collection of arc modules fails sm4 alone, so sm1-sm3 are made to
+    # pass on modules with zero maps, all at shift 0
+    monkeypatch.setattr(mutation, "is_semibrick", lambda modules: True)
+    monkeypatch.setattr(mutation, "hom_dim", lambda x, y: 0)
+    monkeypatch.setattr(mutation, "ext1_dim", lambda x, y: 0)
+
+    def collection(*dims):
+        return tuple((make_representation(3, d, {}), 0) for d in dims)
+
+    assert not smc_axiom_check(collection((1, 1, 0), (0, 1, 1), (1, 1, 0)), 3)
+    assert not smc_axiom_check(collection((1, 1, 0), (0, 1, 1), (1, 0, 1)), 3)
+    assert smc_axiom_check(collection((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
 
 
 @pytest.mark.parametrize("n,count", [(2, 6), (3, 24)])
@@ -213,6 +244,49 @@ def test_mutate_smc_matches_diagram_route():
             expected = psi(double_diagram(left_multiply_simple(i, w)))
             got = mutate_smc_collection(psi(diagram), i)
             assert collections_match(got, expected)
+
+
+def reference_extension_middle(pivot, neighbor):
+    """Every arc module over the summed interval whose hom space from the
+    pivot is one injective map with cokernel the neighbor."""
+    dims = [p + q for p, q in zip(pivot.dims, neighbor.dims)]
+    p = dims.index(1) + 1
+    q = p + sum(dims)
+    matches = []
+    for bits in itertools.product((False, True), repeat=q - p - 1):
+        above = frozenset(m for m, up in zip(range(p + 1, q), bits) if up)
+        candidate = arc_module(Arc(p, q, above), pivot.n)
+        basis = hom_basis(pivot, candidate)
+        if len(basis) != 1 or not basis[0].is_injective():
+            continue
+        if is_isomorphic(morphism_parts(basis[0])[1], neighbor):
+            matches.append(candidate)
+    return matches
+
+
+def test_glued_extension_middle_is_the_one_arc_module_found_by_search():
+    pairs = 0
+    for n in range(1, 6):
+        arcs = enumerate_arcs(n)
+        for a, b in itertools.product(arcs, repeat=2):
+            if b.left != a.right:
+                continue
+            for pivot, neighbor in itertools.permutations(
+                (arc_module(a, n), arc_module(b, n))
+            ):
+                pairs += 1
+                assert ext1_dim(neighbor, pivot) == 1
+                middle = _extension_middle(pivot, neighbor)
+                assert reference_extension_middle(pivot, neighbor) == [middle]
+                assert check_relations(middle)
+    assert pairs == 204
+
+
+def test_extension_middle_needs_disjoint_adjacent_supports():
+    with pytest.raises(MutationError):  # overlap: summed dims (1, 2)
+        _extension_middle(arc_module(Arc(1, 3), 2), arc_module(Arc(2, 3), 2))
+    with pytest.raises(MutationError):  # gap: summed dims (1, 0, 1)
+        _extension_middle(arc_module(Arc(1, 2), 3), arc_module(Arc(3, 4), 3))
 
 
 def test_collections_match_is_shift_sensitive():

@@ -591,7 +591,8 @@ def injective_choices(basis, source):
 
 
 def test_an_injective_map_between_arc_modules_spans_its_hom():
-    # mutation._extension_middle tries only a lone hom-basis element: no
+    # mutation._extension_middle accepts its glued middle only when
+    # Hom(pivot, middle) is one injective map; that loses no middle, since no
     # Hom of dimension 2 or more between arc modules holds an injective map
     injective = wide = 0
     for n in range(1, 6):

@@ -86,6 +86,9 @@ def test_materialized_maps_are_independent_morphisms():
             maps = [materialize(gm, n) for gm in graph_maps(a, b)]
             for f in maps:
                 assert f.is_valid()
+                # int entries, like the rows of _hom_system that is_valid reads
+                entries = [x for m in f.mats for row in m for x in row]
+                assert entries and all(type(x) is int for x in entries)
             # distinct middles have disjoint vertex supports
             supports = [
                 frozenset(
