@@ -4,7 +4,7 @@ Matrices are tuples of row tuples of ``fractions.Fraction`` (``int`` entries
 are accepted too).  There is one elimination routine, ``echelon``, and it
 works on sparse integer rows: a ``Row`` maps a column to its nonzero ``int``
 entry.  ``integer_rows`` scales each rational row by the lcm of its
-denominators; the dense entry points ``rref``, ``rank``, ``nullspace`` and
+denominators; the dense entry points ``rref``, ``nullspace`` and
 ``solve_matrix`` go through it, and ``quiver`` assembles its hom systems
 directly as ``Row``s.  Elimination is fraction-free and keeps the rows it
 produces primitive.  ``Fraction``s are built only at the end, when a row is
@@ -144,10 +144,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         )
     red += [(ZERO,) * ncols] * (len(m) - len(red))
     return tuple(red), order
-
-
-def rank(m: Matrix) -> int:
-    return len(echelon(integer_rows(map(enumerate, m))))
 
 
 def kernel(rows: Iterable[Row], ncols: int) -> list[tuple[Fraction, ...]]:

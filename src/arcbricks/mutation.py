@@ -198,8 +198,8 @@ def _extension_middle(
     scalar that is nonzero (else E splits) and so rescales to 1.  E meets
     the mesh relations: each 2-cycle through the two joining vertices passes
     through the arrow from the pivot into the neighbor, which is zero.  The
-    glue is checked: Hom(pivot, E) is one injective map with cokernel the
-    neighbor.
+    glue is checked: Hom(pivot, E) is one map, with zero kernel and with
+    cokernel the neighbor.
     """
     n = pivot.n
     dims = tuple(p + q for p, q in zip(pivot.dims, neighbor.dims))
@@ -218,24 +218,26 @@ def _extension_middle(
     named[(v - 1, -1 if pivot.dim(v - 1) else 1)] = identity(1)
     middle = make_representation(n, dims, named)
     basis = hom_basis(pivot, middle)
-    if not (
-        len(basis) == 1
-        and basis[0].is_injective()
-        and is_isomorphic(morphism_parts(basis[0])[1], neighbor)
-    ):
-        raise MutationError("the glued module is not the extension middle")
-    return middle
+    if len(basis) == 1:
+        kernel, cokernel = morphism_parts(basis[0])
+        if not any(kernel.dims) and is_isomorphic(cokernel, neighbor):
+            return middle
+    raise MutationError("the glued module is not the extension middle")
 
 
 def mutate_smc_collection(members: TwoTermCollection, i: int) -> TwoTermCollection:
     """Module-level left mutation at position i (1-based).
 
-    The pivot must sit at shift 0 and moves to shift 1; every other member
-    is mutated against it by ``_mutate_member``.
+    Every member must sit at shift 0 or 1.  The pivot must sit at shift 0
+    and moves to shift 1; every other member is mutated against it by
+    ``_mutate_member``.
     """
     members = tuple(members)
     if not 1 <= i <= len(members):
         raise MutationError(f"position {i} out of range 1..{len(members)}")
+    for j, (_, shift) in enumerate(members, start=1):
+        if shift not in (0, 1):
+            raise MutationError(f"position {j} has shift {shift}, need 0 or 1")
     pivot, pivot_shift = members[i - 1]
     if pivot_shift != 0:
         raise MutationError(f"member at position {i} sits at shift 1, need shift 0")
@@ -285,8 +287,7 @@ def collections_match(x: TwoTermCollection, y: TwoTermCollection) -> bool:
     if len(x) != len(y):
         return False
     return all(
-        cx == cy and (mx == my or is_isomorphic(mx, my))
-        for (mx, cx), (my, cy) in zip(x, y)
+        cx == cy and is_isomorphic(mx, my) for (mx, cx), (my, cy) in zip(x, y)
     )
 
 

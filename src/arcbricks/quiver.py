@@ -19,7 +19,9 @@ eliminate its rows, and ``Morphism.is_valid`` evaluates them on a
 morphism's entries.  Ext^1 comes from the symmetric Euler-type form and is
 never computed any other way here.  ``morphism_parts`` gives the kernel and
 cokernel of a morphism; their arrow maps are read off the canonical kernel
-bases of ``linalg.nullspace``, with no linear solve.
+bases of ``linalg.nullspace``, with no linear solve; a map is injective
+when its kernel is zero.  ``is_isomorphic`` returns ``True`` on equal
+representations first, so its callers make no equality test of their own.
 
 Four functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
 ``hom_basis`` and ``hom_dim`` on the ``(source, target)`` pair of
@@ -232,12 +234,6 @@ class Morphism:
             sum(x * entries[j] for j, x in row.items()) for row in equations
         )
 
-    def is_injective(self) -> bool:
-        return all(
-            linalg.rank(self.mat(v)) == self.source.dim(v)
-            for v in range(1, self.source.n + 1)
-        )
-
 
 def _hom_system(
     source: Representation, target: Representation
@@ -416,12 +412,16 @@ def _small_dims(m: Representation) -> bool:
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
-    """Isomorphism test for 0/1-dimensional representations.
+    """Isomorphism test: ``True`` on equal representations, whatever their
+    dimensions (the package's one equality test for it); otherwise only for
+    0/1-dimensional ones, and others raise ``ValueError``.
 
     With scalar vertex maps, an isomorphism exists exactly when, at every
     support vertex, some hom-basis element is nonzero: a rational combination
     avoiding finitely many hyperplanes is then invertible everywhere.
     """
+    if m == n:
+        return True
     if m.dims != n.dims:
         return False
     if not (_small_dims(m) and _small_dims(n)):

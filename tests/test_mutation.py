@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from arcbricks import mutation
+from arcbricks import linalg, mutation
 from arcbricks.arcs import Arc, double_diagram, enumerate_arcs
 from arcbricks.mutation import (
     MutationError,
@@ -237,6 +237,16 @@ def test_mutate_smc_pivot_shift_guard():
         mutate_smc_collection(psi(D("321")), 5)
 
 
+@pytest.mark.parametrize("shift", [5, -1])
+def test_mutate_smc_rejects_a_member_outside_shifts_0_and_1(monkeypatch, shift):
+    # psi(D_132) at n=2 is [(M(1,3), 1), (S_2, 0)]; mutating at position 2
+    # would treat a member at any shift other than 0 as one at shift 1
+    (module, _), pivot = psi(D("132"))
+    monkeypatch.setattr(mutation, "_mutate_member", None)  # never reached
+    with pytest.raises(MutationError, match=f"position 1 has shift {shift}"):
+        mutate_smc_collection(((module, shift), pivot), 2)
+
+
 def test_mutate_smc_matches_diagram_route():
     for w in all_permutations(3):
         diagram = double_diagram(w)
@@ -244,6 +254,14 @@ def test_mutate_smc_matches_diagram_route():
             expected = psi(double_diagram(left_multiply_simple(i, w)))
             got = mutate_smc_collection(psi(diagram), i)
             assert collections_match(got, expected)
+
+
+def injective(f):
+    """Whether every vertex matrix has a pivot in each source column."""
+    return all(
+        len(linalg.rref(f.mat(v))[1]) == f.source.dim(v)
+        for v in range(1, f.source.n + 1)
+    )
 
 
 def reference_extension_middle(pivot, neighbor):
@@ -257,7 +275,7 @@ def reference_extension_middle(pivot, neighbor):
         above = frozenset(m for m, up in zip(range(p + 1, q), bits) if up)
         candidate = arc_module(Arc(p, q, above), pivot.n)
         basis = hom_basis(pivot, candidate)
-        if len(basis) != 1 or not basis[0].is_injective():
+        if len(basis) != 1 or not injective(basis[0]):
             continue
         if is_isomorphic(morphism_parts(basis[0])[1], neighbor):
             matches.append(candidate)
@@ -287,6 +305,16 @@ def test_extension_middle_needs_disjoint_adjacent_supports():
         _extension_middle(arc_module(Arc(1, 3), 2), arc_module(Arc(2, 3), 2))
     with pytest.raises(MutationError):  # gap: summed dims (1, 0, 1)
         _extension_middle(arc_module(Arc(1, 2), 3), arc_module(Arc(3, 4), 3))
+
+
+def test_extension_middle_needs_a_zero_kernel(monkeypatch):
+    pivot, neighbor = arc_module(Arc(1, 2), 2), arc_module(Arc(2, 3), 2)
+    glued = arc_module(Arc(1, 3, frozenset({2})), 2)  # S_2 -> S_1 is nonzero
+    assert _extension_middle(pivot, neighbor) == glued
+    # a basis map whose kernel is the pivot and whose cokernel is the neighbor
+    monkeypatch.setattr(mutation, "morphism_parts", lambda f: (pivot, neighbor))
+    with pytest.raises(MutationError, match="not the extension middle"):
+        _extension_middle(pivot, neighbor)
 
 
 def test_collections_match_is_shift_sensitive():
