@@ -57,8 +57,8 @@ class Arc:
         return up, interior & ~up
 
     def sort_key(self) -> tuple[int, int, int]:
-        mask = sum(1 << (m - self.left - 1) for m in self.above)
-        return (self.left, self.right, mask)
+        """(left, right, above-point bits shifted to start at left + 1)."""
+        return (self.left, self.right, self.point_masks[0] >> (self.left + 1))
 
     def __str__(self) -> str:
         tags = "".join(

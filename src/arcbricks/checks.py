@@ -295,7 +295,7 @@ CRITERIA = (
     Criterion("06", "mutation", range(3, 7), _mutation_compatibility),
     Criterion("07", "mutation", range(3, 7), _module_mutation_oracle),
     Criterion("08", "order", range(3, 6), _order_criterion),
-    Criterion("09", "bijection", range(1, 7), _canonical_join_representations),
+    Criterion("09", "bijection", range(1, 8), _canonical_join_representations),
     Criterion("10", "quotients", range(1, 8), _quotient_families),
     Criterion("11", "order", range(2, 7), _hasse_structure),
 )

@@ -9,12 +9,15 @@ left action of the simple generator ``s_i`` swaps positions ``i`` and
 
 An inversion set is a tuple of bitmask rows, one per value ``a``, with
 bit ``b - 1`` set when ``(a, b)`` is an inversion: containment is
-``x & ~y == 0`` row by row, and the join closes the OR of the rows.
+``x & ~y == 0`` row by row.  The join ORs the rows and returns the upper
+input when the OR is its rows; otherwise it closes the OR and decodes the
+closed rows into a word from their popcounts and column counts.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,16 +100,22 @@ def _from_rows(rows: list[int]) -> Permutation:
 
     The values before v in the word are the smaller u with (u, v) not an
     inversion and the larger b with (v, b) one, so v sits at position
-    v - #{u < v : (u, v) inverted} + popcount(row v).  The word is then
-    validated against the rows, which rejects non-biclosed sets such as
-    {(1, 3)}.
+    v - #{u < v : (u, v) inverted} + popcount(row v).  The counts are the
+    column counts of the rows, taken in one pass over their set bits.  Rows
+    that are not biclosed are rejected when two values land on one position
+    ({(1, 3)} puts 1 and 2 at position 2) or when the word's inversion rows
+    differ from them.
     """
     n1 = len(rows)
+    inverted_below = [0] * n1
+    for row in rows:
+        while row:
+            low = row & -row
+            inverted_below[low.bit_length() - 1] += 1
+            row ^= low
     word = [0] * n1
-    for v in range(1, n1 + 1):
-        bit = 1 << (v - 1)
-        inverted_below = sum(1 for row in rows[: v - 1] if row & bit)
-        p = v - inverted_below + rows[v - 1].bit_count()
+    for v, (below, row) in enumerate(zip(inverted_below, rows), start=1):
+        p = v - below + row.bit_count()
         if word[p - 1]:
             raise ValueError("inversion set is not biclosed")
         word[p - 1] = v
@@ -119,12 +128,20 @@ def _from_rows(rows: list[int]) -> Permutation:
 def join(u: Permutation, w: Permutation) -> Permutation:
     """Lattice join: transitive closure of the union of inversion sets.
 
-    Warshall over the rows, one pass over the middle value: every row of a
-    smaller value that holds the middle value's bit absorbs the middle row.
+    When the union is one input's rows, that input is above the other and
+    is the join, since a biclosed set is already closed.  Otherwise Warshall
+    over the rows, one pass over the middle value: every row of a smaller
+    value that holds the middle value's bit absorbs the middle row.
     """
     if u.rank != w.rank:
         raise ValueError("rank mismatch")
-    rows = [x | y for x, y in zip(u.inversion_rows, w.inversion_rows)]
+    u_rows, w_rows = u.inversion_rows, w.inversion_rows
+    union = tuple(map(operator.or_, u_rows, w_rows))
+    if union == w_rows:
+        return w
+    if union == u_rows:
+        return u
+    rows = list(union)
     for b in range(1, len(rows)):
         row_b = rows[b]
         if row_b:

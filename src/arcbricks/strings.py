@@ -13,15 +13,16 @@ middles agree letter-for-letter on the same vertex interval; counting them
 computes the hom dimension combinatorially, which the linear-algebra route
 must reproduce.
 
-``factorizations`` is ``@cache``d on ``(arc, kind)`` and returns a tuple, and
-each arc's submodule factorizations are indexed by middle once, in a
-per-arc cache; ``graph_maps`` reads both, so a pair costs one lookup per
-quotient factorization of its source.
+``factorizations`` is ``@cache``d on ``(arc, kind)`` and returns a tuple,
+each factorization builds its middle once, and each arc's submodule
+factorizations are indexed by middle once, in a per-arc cache;
+``graph_maps`` reads both, so a pair costs one lookup per quotient
+factorization of its source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .arcs import Arc
@@ -60,16 +61,22 @@ def arrow_sequence(arc: Arc) -> ArrowSequence:
 @dataclass(frozen=True)
 class Factorization:
     """Cut points 0 <= lo <= hi <= len(letters): b = letters[:lo],
-    c = letters[lo:hi], d = letters[hi:]."""
+    c = letters[lo:hi], d = letters[hi:].  The middle, c with its first
+    vertex, is built once, with the factorization."""
 
     sequence: ArrowSequence
     kind: str
     lo: int
     hi: int
+    _middle: tuple[int, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        middle = (self.sequence.start + self.lo, self.sequence.letters[self.lo : self.hi])
+        object.__setattr__(self, "_middle", middle)
 
     @property
     def middle_letters(self) -> tuple[Arrow, ...]:
-        return self.sequence.letters[self.lo : self.hi]
+        return self._middle[1]
 
     @property
     def middle_interval(self) -> tuple[int, int]:
@@ -77,7 +84,7 @@ class Factorization:
         return (self.sequence.start + self.lo, self.sequence.start + self.hi)
 
     def middle(self) -> tuple[int, tuple[Arrow, ...]]:
-        return (self.sequence.start + self.lo, self.middle_letters)
+        return self._middle
 
     def __str__(self) -> str:
         seq = self.sequence

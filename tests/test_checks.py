@@ -13,6 +13,7 @@ from arcbricks.permutations import (
     all_permutations,
     descents,
     identity_permutation,
+    join,
     weak_leq,
 )
 from arcbricks.strings import graph_map_count
@@ -115,6 +116,17 @@ def test_a_wrong_join_irreducible_fails_criterion_09(monkeypatch):
     result = run_criterion(criterion("09"), max_n=2)
     assert not result.passed
     assert result.counterexample.startswith("n=1 w=21 join of joinands: got 12")
+
+
+def test_a_join_that_keeps_the_lower_of_a_comparable_pair_fails_criterion_09(
+    monkeypatch,
+):
+    monkeypatch.setattr(
+        arcs, "join", lambda u, w: u if weak_leq(u, w) else join(u, w)
+    )
+    result = run_criterion(criterion("09"), max_n=2)
+    assert not result.passed
+    assert result.counterexample == "n=1 w=21 join of joinands: got 12, expected 21"
 
 
 def test_negated_weak_order_fails_criterion_08(monkeypatch):

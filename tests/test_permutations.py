@@ -258,20 +258,21 @@ def test_from_inversions_examples():
         from_inversions({(1, 3)}, 2)
 
 
-def test_from_inversions_accepts_exactly_the_biclosed_sets():
-    pairs = list(itertools.combinations(range(1, 5), 2))
-    biclosed = {inversions(w): w for w in all_permutations(3)}
+@pytest.mark.parametrize("n, counts", [(3, (24, 40)), (4, (120, 904))])
+def test_from_inversions_accepts_exactly_the_biclosed_sets(n, counts):
+    pairs = list(itertools.combinations(range(1, n + 2), 2))
+    biclosed = {inversions(w): w for w in all_permutations(n)}
     accepted = rejected = 0
     for k in range(len(pairs) + 1):
         for subset in map(frozenset, itertools.combinations(pairs, k)):
             if subset in biclosed:
-                assert from_inversions(subset, 3) == biclosed[subset]
+                assert from_inversions(subset, n) == biclosed[subset]
                 accepted += 1
             else:
                 with pytest.raises(ValueError, match="not biclosed"):
-                    from_inversions(subset, 3)
+                    from_inversions(subset, n)
                 rejected += 1
-    assert (accepted, rejected) == (24, 40)
+    assert (accepted, rejected) == counts
 
 
 def test_from_inversions_rejects_pairs_outside_the_range():
