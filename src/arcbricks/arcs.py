@@ -5,7 +5,8 @@ point, whether it passes above or below; that data is a complete isotopy
 invariant.  A ``ColoredDiagram`` is the n-entry colored diagram D_w of a
 permutation w (green entry = descent, red = ascent), and w is all it stores:
 ``double_diagram(w)`` is that diagram, its entries are read off w on first
-use, and ``ColoredDiagram.from_entries`` is the one decoder of entries built
+use in one right-to-left pass over the word, and
+``ColoredDiagram.from_entries`` is the one decoder of entries built
 elsewhere, accepting them exactly when they are D_w for the word their
 endpoint chain spells.  The crossing and diagram tests decide the
 noncrossing conditions on arc sets:
@@ -118,18 +119,20 @@ class ColoredDiagram:
     def entries(self) -> tuple[tuple[Arc, str], ...]:
         """Entry i joins w_i and w_{i+1}; an interior value k passes below
         when it sits at a position left of the pair, above when right of it.
-        Built on first read."""
+        Built on first read, in one right-to-left scan of the word that
+        keeps the values right of the pair as one bitmask."""
         word = self.w.word
-        # later[i]: bit k set for each value k at a 0-based position >= i
-        later = [0] * (len(word) + 1)
-        for i in range(len(word) - 1, -1, -1):
-            later[i] = later[i + 1] | 1 << word[i]
-        entries = []
-        for i in range(self.n):
-            a, b = word[i], word[i + 1]
-            p, q = min(a, b), max(a, b)
-            above = later[i + 2] & ((1 << q) - (2 << p))
-            entries.append((_interned_arc(p, q, above), GREEN if a > b else RED))
+        entries = [None] * self.n
+        later = 0  # bit k set for each value k right of the current pair
+        b = word[-1]
+        for i in range(self.n - 1, -1, -1):
+            a = word[i]
+            if a > b:
+                entries[i] = (_interned_arc(b, a, later & ((1 << a) - (2 << b))), GREEN)
+            else:
+                entries[i] = (_interned_arc(a, b, later & ((1 << b) - (2 << a))), RED)
+            later |= 1 << b
+            b = a
         return tuple(entries)
 
     @classmethod

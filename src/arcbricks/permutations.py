@@ -11,7 +11,8 @@ An inversion set is a tuple of bitmask rows, one per value ``a``, with
 bit ``b - 1`` set when ``(a, b)`` is an inversion: containment is
 ``x & ~y == 0`` row by row.  The join ORs the rows and returns the upper
 input when the OR is its rows; otherwise it closes the OR and decodes the
-closed rows into a word from their popcounts and column counts.
+closed rows into a word from their popcounts, which are the word's
+inversion table, and checks the word's own rows against them once.
 """
 
 from __future__ import annotations
@@ -98,27 +99,16 @@ def left_multiply_simple(i: int, w: Permutation) -> Permutation:
 def _from_rows(rows: list[int]) -> Permutation:
     """The unique permutation with the given inversion rows.
 
-    The values before v in the word are the smaller u with (u, v) not an
-    inversion and the larger b with (v, b) one, so v sits at position
-    v - #{u < v : (u, v) inverted} + popcount(row v).  The counts are the
-    column counts of the rows, taken in one pass over their set bits.  Rows
-    that are not biclosed are rejected when two values land on one position
-    ({(1, 3)} puts 1 and 2 at position 2) or when the word's inversion rows
-    differ from them.
+    Popcount(row v) is the number of larger values before v in the word,
+    its inversion table entry, so inserting the values from n + 1 down to 1,
+    each after that many of the larger values already placed, spells the
+    word.  The one check is that the word's inversion rows are the given
+    rows; it rejects rows that are not biclosed or have a bit outside the
+    strict upper triangle, and it fills the word's ``inversion_rows``.
     """
-    n1 = len(rows)
-    inverted_below = [0] * n1
-    for row in rows:
-        while row:
-            low = row & -row
-            inverted_below[low.bit_length() - 1] += 1
-            row ^= low
-    word = [0] * n1
-    for v, (below, row) in enumerate(zip(inverted_below, rows), start=1):
-        p = v - below + row.bit_count()
-        if word[p - 1]:
-            raise ValueError("inversion set is not biclosed")
-        word[p - 1] = v
+    word = []
+    for v in range(len(rows), 0, -1):
+        word.insert(rows[v - 1].bit_count(), v)
     w = Permutation(tuple(word))
     if w.inversion_rows != tuple(rows):
         raise ValueError("inversion set is not biclosed")
@@ -131,7 +121,9 @@ def join(u: Permutation, w: Permutation) -> Permutation:
     When the union is one input's rows, that input is above the other and
     is the join, since a biclosed set is already closed.  Otherwise Warshall
     over the rows, one pass over the middle value: every row of a smaller
-    value that holds the middle value's bit absorbs the middle row.
+    value that holds the middle value's bit absorbs the middle row; the
+    closed rows are decoded by ``_from_rows``, whose check also fills the
+    join's ``inversion_rows`` for the next join in a chain.
     """
     if u.rank != w.rank:
         raise ValueError("rank mismatch")

@@ -157,7 +157,7 @@ def test_double_diagram_rank3(word, expected):
 
 
 def test_double_diagram_matches_the_per_point_construction():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for w in all_permutations(n):
             pos = {v: i for i, v in enumerate(w.word, start=1)}
             entries = []

@@ -248,6 +248,11 @@ def test_from_rows_rejects_rows_that_are_not_biclosed():
     # (1, 3) without (1, 2) or (2, 3) is not transitively closed
     with pytest.raises(ValueError, match="not biclosed"):
         _from_rows([0b100, 0, 0])
+    # a bit past the last value, a bit on or below the diagonal, and a
+    # popcount above the number of larger values
+    for rows in ([0b1000, 0, 0], [0, 0b001, 0], [0b110, 0b110, 0]):
+        with pytest.raises(ValueError, match="not biclosed"):
+            _from_rows(rows)
     assert _from_rows([0b110, 0b100, 0]) == P("321")
 
 
