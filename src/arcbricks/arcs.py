@@ -184,7 +184,7 @@ def double_diagram(w: Permutation) -> ColoredDiagram:
 @cache
 def _interned_arc(left: int, right: int, above: int) -> Arc:
     """One shared ``Arc`` per (left, right, above-point bits), so its point
-    masks are computed once."""
+    masks are computed once; every arc the package builds comes from here."""
     return Arc(left, right, frozenset(m for m in range(left + 1, right) if above >> m & 1))
 
 

@@ -2,9 +2,9 @@
 
 The half twist reconnects two arcs meeting at a single point: the new arc
 joins the two non-shared endpoints, passes above the shared point when the
-pivot sits to its left (below when to its right), and keeps every other
-interior side from whichever input arc contains that point strictly inside
-its span.
+pivot sits to its left (below when to its right), and takes every other
+interior side from the OR of the two arcs' above-point masks; it is built
+through the same interned constructor as every other arc.
 
 ``mutate_dad`` applies the half twist at a position of a colored diagram
 (left mutation pivots on green, right on red) and must land on the diagram
@@ -27,6 +27,7 @@ from .arcs import (
     RED,
     Arc,
     ColoredDiagram,
+    _interned_arc,
     double_diagram,
     enumerate_arcs,
 )
@@ -60,8 +61,11 @@ def half_twist(pivot: Arc, other: Arc, twist: str = "left") -> Arc:
     When the shared point lands inside the new span (the arcs met end to
     end), the left twist passes above it if the pivot sat to the left of the
     other arc and below if to the right; the right twist is the inverse
-    transformation and flips that side.  Every other interior side is
-    inherited from the input arc whose span strictly contains the point.
+    transformation and flips that side.  Every other interior point of the
+    new span is interior to exactly one input arc, so its side is read from
+    the OR of the inputs' above masks: arcs that meet end to end tile the
+    new span at the shared point, and arcs that leave it on the same side
+    put the new span inside the longer arc and outside the shorter one's.
     """
     if twist not in ("left", "right"):
         raise ValueError(f"twist must be 'left' or 'right', got {twist!r}")
@@ -74,21 +78,10 @@ def half_twist(pivot: Arc, other: Arc, twist: str = "left") -> Arc:
     a = pivot.left if pivot.right == s else pivot.right
     b = other.left if other.right == s else other.right
     left, right = min(a, b), max(a, b)
-    above = set()
-    for m in range(left + 1, right):
-        if m == s:
-            pivot_on_left = pivot.right == s == other.left
-            if pivot_on_left == (twist == "left"):
-                above.add(m)
-        elif m in pivot.interior:
-            if m in pivot.above:
-                above.add(m)
-        elif m in other.interior:
-            if m in other.above:
-                above.add(m)
-        else:
-            raise AssertionError(f"point {m} inside neither input arc")
-    return Arc(left, right, frozenset(above))
+    up = (pivot.point_masks[0] | other.point_masks[0]) & ((1 << right) - (2 << left))
+    if left < s < right and (pivot.right == s) == (twist == "left"):
+        up |= 1 << s
+    return _interned_arc(left, right, up)
 
 
 def mutate_dad(

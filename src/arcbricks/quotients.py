@@ -15,7 +15,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arcs import Arc, iter_compatible_index_sets, nad_table
-from .quiver import Arrow, arc_module, arrow_source, arrow_target, parse_arrow, path_action_is_zero
+from .quiver import (
+    Arrow, arc_module, arrow_name, arrow_source, arrow_target, parse_arrow, path_action_is_zero
+)
 
 Path = tuple[Arrow, ...]
 
@@ -30,7 +32,8 @@ class MonomialIdealSpec:
                 raise ValueError("ideal generators must be nonempty paths")
             for prev, nxt in zip(path, path[1:]):
                 if arrow_target(prev) != arrow_source(nxt):
-                    raise ValueError(f"generator {path} is not composable")
+                    names = " ".join(arrow_name(a) for a in path)
+                    raise ValueError(f"generator {names} is not composable")
 
 
 def parse_ideal(tokens: list[str]) -> MonomialIdealSpec:

@@ -83,6 +83,48 @@ def test_half_twist_errors():
         half_twist(Arc(1, 2), Arc(2, 3), twist="up")
 
 
+def reference_half_twist(pivot, other, twist="left"):
+    """The half twist point by point: the shared point's side from the
+    twist, every other side from the input arc whose open span holds it."""
+    (s,) = {pivot.left, pivot.right} & {other.left, other.right}
+    a = pivot.left if pivot.right == s else pivot.right
+    b = other.left if other.right == s else other.right
+    left, right = min(a, b), max(a, b)
+    above = set()
+    for m in range(left + 1, right):
+        if m == s:
+            pivot_on_left = pivot.right == s == other.left
+            if pivot_on_left == (twist == "left"):
+                above.add(m)
+        elif m in pivot.interior:
+            if m in pivot.above:
+                above.add(m)
+        elif m in other.interior:
+            if m in other.above:
+                above.add(m)
+        else:
+            raise AssertionError(f"point {m} inside neither input arc")
+    return Arc(left, right, frozenset(above))
+
+
+def test_half_twist_matches_the_per_point_rule_and_returns_the_shared_arc():
+    calls = []
+    for n in range(2, 7):
+        arcs = enumerate_arcs(n)
+        shared = {arc: arc for arc in arcs}
+        count = 0
+        for pivot, other in itertools.permutations(arcs, 2):
+            if len({pivot.left, pivot.right} & {other.left, other.right}) != 1:
+                continue
+            for twist in ("left", "right"):
+                got = half_twist(pivot, other, twist)
+                assert got == reference_half_twist(pivot, other, twist)
+                assert got is shared[got]
+                count += 1
+        calls.append(count)
+    assert calls == [20, 152, 780, 3456, 14388]
+
+
 def test_mutate_dad_figure_steps():
     assert mutate_dad(D("4321"), 3, "left") == D("4312")
     assert mutate_dad(D("4321"), 1, "left") == D("3421")

@@ -20,8 +20,8 @@ from arcbricks.quotients import (
 
 
 def test_ideal_spec_validation():
-    with pytest.raises(ValueError):
-        MonomialIdealSpec((((1, 1), (1, 1)),))  # a1 a1 not composable
+    with pytest.raises(ValueError, match="generator a1 a1 is not composable"):
+        MonomialIdealSpec((((1, 1), (1, 1)),))
     with pytest.raises(ValueError):
         MonomialIdealSpec(((),))
     spec = parse_ideal(["a1-", "a2 a3"])
