@@ -215,37 +215,44 @@ def _mutation_compatibility(n: int) -> Iterator[Case]:
     diagrams = {w: double_diagram(w) for w in all_permutations(n)}
     for w, diagram in diagrams.items():
         down = descents(w)
+        text = str(w)
         for i in range(1, n + 1):
             direction = "left" if i in down else "right"
             got = mutate_dad(diagram, i, direction)
             expected = diagrams[left_multiply_simple(i, w)]
-            yield f"w={w} i={i} ({direction})", got, expected
+            yield f"w={text} i={i} ({direction})", got, expected
 
 
 def _module_mutation_oracle(n: int) -> Iterator[Case]:
-    """Every image psi(D_w) satisfies the collection axioms, and module-level
-    mutation matches the diagram route member by member, at every descent of
-    every word.  A module route that gives up (a glued module that is not
-    the extension middle, say) is a failed case, not an abort of the sweep."""
+    """Every image psi(D_w) satisfies the collection axioms, and fails them
+    once any one member moves to the other shift; module-level mutation
+    matches the diagram route member by member, at every descent of every
+    word.  A module route that gives up (a glued module that is not the
+    extension middle, say) is a failed case, not an abort of the sweep."""
     images = {w: psi(double_diagram(w)) for w in all_permutations(n)}
     for w, members in images.items():
-        yield f"w={w} collection axioms", smc_axiom_check(members, n), True
+        text = str(w)
+        yield f"w={text} collection axioms", smc_axiom_check(members, n), True
+        for k, (module, shift) in enumerate(members):
+            flipped = (*members[:k], (module, 1 - shift), *members[k + 1 :])
+            label = f"w={text} member {k + 1} at shift {1 - shift} collection axioms"
+            yield label, smc_axiom_check(flipped, n), False
         for i in descents(w):
             expected = images[left_multiply_simple(i, w)]
             try:
                 match = collections_match(mutate_smc_collection(members, i), expected)
             except MutationError as exc:
                 match = f"MutationError: {exc}"
-            yield f"w={w} i={i} members match", match, True
+            yield f"w={text} i={i} members match", match, True
 
 
 def _order_criterion(n: int) -> Iterator[Case]:
     """The no-graph-map criterion reproduces the weak order on every pair."""
-    perms = all_permutations(n)
-    diagrams = [double_diagram(w) for w in perms]
-    for u, lower in zip(perms, diagrams):
-        for w, upper in zip(perms, diagrams):
-            yield f"u={u} w={w} order", smc_leq(lower, upper), weak_leq(u, w)
+    words = [(w, str(w), double_diagram(w)) for w in all_permutations(n)]
+    for u, u_text, lower in words:
+        for w, w_text, upper in words:
+            got, expected = smc_leq(lower, upper), weak_leq(u, w)
+            yield f"u={u_text} w={w_text} order", got, expected
 
 
 def _canonical_join_representations(n: int) -> Iterator[Case]:

@@ -47,7 +47,7 @@ def _load_permutation(args) -> Permutation:
 
 
 def _emit(text: str, out_path: str | None):
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w") as fh:
                 fh.write(text)

@@ -5,31 +5,30 @@ are accepted too).  There is one elimination routine, ``echelon``, and it
 works on sparse integer rows: a ``Row`` maps a column to its nonzero ``int``
 entry.  ``integer_rows`` scales each rational row by the lcm of its
 denominators; the dense entry points ``rref``, ``nullspace`` and
-``solve_matrix`` go through it, and ``quiver`` assembles its hom systems
-directly as ``Row``s.  Elimination is fraction-free and keeps the rows it
-produces primitive.  ``Fraction``s are built only at the end, when a row is
-divided by its pivot, so the results are the unique reduced row echelon form
-and the canonical kernel basis it determines.  An ``r x 0`` or ``0 x c``
-matrix is a legitimate value; it is represented by ``r`` empty rows plus an
-explicit column count where one is needed.
+``solve_matrix`` go through it.  ``quiver`` assembles its hom systems
+directly as ``Row``s for ``kernel`` and ``echelon``, and
+``mutation.smc_axiom_check`` calls ``echelon`` on the integer rows of a
+signed dimension matrix.  No package code calls ``rref`` or
+``solve_matrix``; they stay for the benchmark's tracer, which wraps them.
+Elimination is fraction-free and keeps the rows it produces primitive.
+``Fraction``s are built only at the end, when a row is divided by its
+pivot, so the results are the unique reduced row echelon form and the
+canonical kernel basis it determines.  An ``r x 0`` or ``0 x c`` matrix is
+a legitimate value; it is represented by ``r`` empty rows plus an explicit
+column count where one is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Row = dict[int, int]  # column -> nonzero integer entry
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    """Normalize nested sequences of numbers into a Matrix."""
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
@@ -131,7 +130,10 @@ def echelon(rows: Iterable[Row]) -> dict[int, Row]:
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
+    """Reduced row echelon form and the pivot column indices.
+
+    No package code calls this; the benchmark's tracer wraps it, and ROADMAP
+    item 10 removes it with the next change to the benchmark."""
     pivots = echelon(integer_rows(map(enumerate, m)))
     ncols = len(m[0]) if m else 0
     order = tuple(sorted(pivots))
@@ -178,7 +180,10 @@ def nullspace(m: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]
 
 
 def solve_matrix(a: Matrix, b: Matrix) -> Matrix:
-    """One exact solution ``x`` of ``a @ x = b``; raises if inconsistent."""
+    """One exact solution ``x`` of ``a @ x = b``; raises if inconsistent.
+
+    No package code calls this; the benchmark's tracer wraps it, and ROADMAP
+    item 10 removes it with the next change to the benchmark."""
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     bcols = len(b[0]) if b else 0

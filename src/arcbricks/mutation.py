@@ -31,7 +31,7 @@ from .arcs import (
     double_diagram,
     enumerate_arcs,
 )
-from .linalg import identity, is_zero, mat, solve_matrix
+from .linalg import echelon, identity, is_zero
 from .permutations import Permutation, all_permutations, left_multiply_simple
 from .quiver import (
     Representation,
@@ -129,10 +129,11 @@ def smc_axiom_check(members: TwoTermCollection, n: int) -> bool:
     """The collection axioms for a semibrick pair (Asai, "Semibricks", IMRN
     2020, arXiv:1610.05860), with the basis proxy for generation.
 
-    The n members sit at shift 0 (tops) or 1 (bottoms).  sm1, sm2: tops and
-    bottoms are each a semibrick.  sm3: every top X and bottom Y have
-    Hom(X, Y[1][k]) = 0 for k = -1, 0 (Koenig-Yang), that is Hom(X, Y) =
-    Ext^1(X, Y) = 0; such a Hom from a bottom to a top is automatically zero.
+    The n members are modules of rank n at shift 0 (tops) or 1 (bottoms).
+    sm1, sm2: tops and bottoms are each a semibrick.  sm3: every top X and
+    bottom Y have Hom(X, Y[1][k]) = 0 for k = -1, 0 (Koenig-Yang), that is
+    Hom(X, Y) = Ext^1(X, Y) = 0; such a Hom from a bottom to a top is
+    automatically zero.
     sm4 proxy: the signed dimension vectors (+ at shift 0, - at shift 1) form
     a Z-basis of Z^n.  The proxy is necessary, not known to be sufficient.
     """
@@ -141,18 +142,25 @@ def smc_axiom_check(members: TwoTermCollection, n: int) -> bool:
     bottoms = [m for m, shift in members if shift == 1]
     if len(members) != n or len(tops) + len(bottoms) != n:
         return False
+    if any(m.n != n for m, _ in members):
+        return False
     if not (is_semibrick(tops) and is_semibrick(bottoms)):
         return False
     if any(hom_dim(x, y) or ext1_dim(x, y) for x in tops for y in bottoms):
         return False
-    # An integer matrix is unimodular iff it is invertible with an integer
-    # inverse; solve_matrix raises ValueError on a singular one.
-    signed = mat([[d if c == 0 else -d for d in m.dims] for m, c in members])
-    try:
-        inverse = solve_matrix(signed, identity(n))
-    except ValueError:
-        return False
-    return all(x.denominator == 1 for row in inverse for x in row)
+    # The signed matrix M is unimodular iff each pivot of [M | I] in the
+    # first n columns is +-1.  After back-reduction the pivot row of column
+    # p < n is a multiple l * (e_p | row p of M^-1) of a row of [I | M^-1].
+    # Every input row has a 1 in its identity column and every row echelon
+    # produces is divided by its content, so every pivot row is primitive,
+    # and |l| is the lcm of the denominators of row p of M^-1: the pivot is
+    # +-1 exactly when that row of the inverse is integral.  A singular M
+    # leaves some column j < n without a pivot.
+    pivots = echelon(
+        {j: d if c == 0 else -d for j, d in enumerate(m.dims) if d} | {n + k: 1}
+        for k, (m, c) in enumerate(members)
+    )
+    return all(abs(pivots.get(j, {}).get(j, 0)) == 1 for j in range(n))
 
 
 @cache

@@ -131,7 +131,9 @@ def test_a_join_that_keeps_the_lower_of_a_comparable_pair_fails_criterion_09(
 
 def test_negated_weak_order_fails_criterion_08(monkeypatch):
     monkeypatch.setattr(checks, "weak_leq", lambda u, w: not weak_leq(u, w))
-    assert not run_criterion(criterion("08"), max_n=3).passed
+    result = run_criterion(criterion("08"), max_n=3)
+    assert not result.passed
+    assert result.counterexample == "n=3 u=1234 w=1234 order: got True, expected False"
 
 
 def test_wrong_graph_map_count_fails_criterion_08_after_a_warm_run(monkeypatch):
@@ -146,7 +148,9 @@ def test_wrong_graph_map_count_fails_criterion_08_after_a_warm_run(monkeypatch):
 
 def test_identity_mutation_fails_criterion_06(monkeypatch):
     monkeypatch.setattr(checks, "mutate_dad", lambda diagram, i, direction: diagram)
-    assert not run_criterion(criterion("06"), max_n=3).passed
+    result = run_criterion(criterion("06"), max_n=3)
+    assert not result.passed
+    assert result.counterexample.startswith("n=3 w=1234 i=1 (right): got ")
 
 
 def test_mutation_criteria_build_each_diagram_once(monkeypatch):

@@ -199,6 +199,12 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().startswith("digraph mutation {")
 
 
+def test_an_empty_out_path_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "count", "--n", "3", "--out", "")
+    assert (code, out) == (2, "")
+    assert "error: cannot write " in err
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

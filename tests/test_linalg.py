@@ -5,7 +5,6 @@ import pytest
 
 from arcbricks.linalg import (
     identity,
-    mat,
     matmul,
     nullspace,
     rref,
@@ -13,6 +12,11 @@ from arcbricks.linalg import (
     transpose,
     zeros,
 )
+
+
+def mat(rows):
+    """Nested sequences of numbers as a matrix of ``Fraction``s."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def test_rref_and_rank():

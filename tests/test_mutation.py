@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,10 @@ def test_smc_axiom_check():
         shifted = tuple((m, moved.get(c, c)) for m, c in members)
         assert not smc_axiom_check(shifted, 2)
     assert not smc_axiom_check(members + ((members[0][0], 2),), 2)
+    # members must be modules of rank n
+    for arc in (Arc(1, 2), Arc(2, 3)):
+        for shift in (0, 1):
+            assert not smc_axiom_check(((arc_module(arc, 2), shift),), 1)
 
 
 def test_smc_axiom_check_sm4_proxy_needs_a_unimodular_matrix(monkeypatch):
@@ -227,6 +232,37 @@ def test_smc_axiom_check_sm4_proxy_needs_a_unimodular_matrix(monkeypatch):
     assert not smc_axiom_check(collection((1, 1, 0), (0, 1, 1), (1, 1, 0)), 3)
     assert not smc_axiom_check(collection((1, 1, 0), (0, 1, 1), (1, 0, 1)), 3)
     assert smc_axiom_check(collection((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
+
+
+def reference_sm4(members, n):
+    """sm4 as a rational inverse: the signed dimension matrix is invertible
+    and its inverse, from ``solve_matrix``, has integer entries."""
+    signed = tuple(
+        tuple(Fraction(d if c == 0 else -d) for d in m.dims) for m, c in members
+    )
+    try:
+        inverse = linalg.solve_matrix(signed, linalg.identity(n))
+    except ValueError:
+        return False
+    return all(x.denominator == 1 for row in inverse for x in row)
+
+
+def test_smc_axiom_check_sm4_matches_the_rational_inverse(monkeypatch):
+    monkeypatch.setattr(mutation, "is_semibrick", lambda modules: True)
+    monkeypatch.setattr(mutation, "hom_dim", lambda x, y: 0)
+    monkeypatch.setattr(mutation, "ext1_dim", lambda x, y: 0)
+    rng = random.Random(0)
+    outcomes = []
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        members = []
+        for _ in range(n):
+            dims = tuple(rng.randint(0, 2) for _ in range(n))
+            members.append((make_representation(n, dims, {}), rng.randint(0, 1)))
+        got = smc_axiom_check(members, n)
+        assert got == reference_sm4(members, n), members
+        outcomes.append(got)
+    assert set(outcomes) == {False, True}
 
 
 @pytest.mark.parametrize("n,count", [(2, 6), (3, 24)])

@@ -34,6 +34,11 @@ A13U = Arc(1, 3, frozenset({2}))
 A13D = Arc(1, 3)
 
 
+def mat(rows):
+    """Nested sequences of numbers as a matrix of ``Fraction``s."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
 def simple(n, v):
     """The simple module at vertex v: the arc module of the unit arc."""
     return arc_module(Arc(v, v + 1), n)
@@ -321,7 +326,7 @@ def test_is_isomorphic():
 
 def test_is_isomorphic_on_modules_with_a_vertex_of_dimension_2():
     def module(row):
-        return make_representation(2, (2, 1), {(1, 1): linalg.mat([row])})
+        return make_representation(2, (2, 1), {(1, 1): mat([row])})
 
     assert is_isomorphic(module([1, 0]), module([1, 0]))
     with pytest.raises(ValueError, match="0/1 dimension vectors"):
@@ -360,7 +365,7 @@ def test_every_small_brick_is_an_arc_module():
 
 def from_json(data, n):
     """The representation that ``to_json`` wrote, arrows it left out zero."""
-    named = {parse_arrow(key): linalg.mat(m) for key, m in data["arrows"].items()}
+    named = {parse_arrow(key): mat(m) for key, m in data["arrows"].items()}
     return make_representation(n, data["dims"], named)
 
 
