@@ -3,13 +3,15 @@
 Matrices are tuples of row tuples of ``fractions.Fraction`` (``int`` entries
 are accepted too).  There is one elimination routine, ``echelon``, and it
 works on sparse integer rows: a ``Row`` maps a column to its nonzero ``int``
-entry.  ``integer_rows`` scales each rational row by the lcm of its
-denominators; the dense entry points ``rref``, ``nullspace`` and
-``solve_matrix`` go through it.  ``quiver`` assembles its hom systems
-directly as ``Row``s for ``kernel`` and ``echelon``, and
-``mutation.smc_axiom_check`` calls ``echelon`` on the integer rows of a
-signed dimension matrix.  No package code calls ``rref`` or
-``solve_matrix``; they stay for the benchmark's tracer, which wraps them.
+entry.  It has two stages.  ``rank`` is its forward pass alone, which
+already fixes the pivot columns; ``echelon`` adds the back-reduction.
+``integer_rows`` scales each rational row by the lcm of its denominators;
+the dense entry points ``rref``, ``nullspace`` and ``solve_matrix`` go
+through it.  ``quiver`` assembles its hom systems directly as ``Row``s for
+``kernel`` and ``rank``, and ``mutation.smc_axiom_check`` calls ``echelon``
+on the integer rows of a signed dimension matrix.  No package code calls
+``rref`` or ``solve_matrix``; they stay for the benchmark's tracer, which
+wraps them.
 Elimination is fraction-free and keeps the rows it produces primitive.
 ``Fraction``s are built only at the end, when a row is divided by its
 pivot, so the results are the unique reduced row echelon form and the
@@ -100,18 +102,10 @@ def _eliminate(row: Row, prow: Row, c: int) -> Row:
     return {k: x // g for k, x in out.items()} if g > 1 else out
 
 
-def echelon(rows: Iterable[Row]) -> dict[int, Row]:
-    """Fraction-free elimination of sparse integer rows; the one
-    elimination routine.
-
-    Rows are added one at a time: each is reduced against the pivot rows by
-    its leading column until that column has no pivot row, and then becomes
-    the pivot row of it.  A back-reduction then clears every pivot row's
-    entries in the other pivot columns, latest pivots first.  The result
-    maps each pivot column to its row; dividing a row by its pivot entry
-    gives that row of the reduced row echelon form.  The input rows are not
-    modified.
-    """
+def _forward(rows: Iterable[Row]) -> dict[int, Row]:
+    """The forward pass of ``echelon``: rows are added one at a time, and
+    each is reduced against the pivot rows by its leading column until that
+    column has no pivot row, and then becomes the pivot row of it."""
     pivots: dict[int, Row] = {}
     for row in rows:
         while row:
@@ -121,6 +115,26 @@ def echelon(rows: Iterable[Row]) -> dict[int, Row]:
                 pivots[c] = row
                 break
             row = _eliminate(row, prow, c)
+    return pivots
+
+
+def rank(rows: Iterable[Row]) -> int:
+    """Rank of sparse integer rows: the pivot count of ``echelon``'s forward
+    pass, since back-reduction never changes the pivot columns."""
+    return len(_forward(rows))
+
+
+def echelon(rows: Iterable[Row]) -> dict[int, Row]:
+    """Fraction-free elimination of sparse integer rows; the one
+    elimination routine.
+
+    After the forward pass (``_forward``), a back-reduction clears every
+    pivot row's entries in the other pivot columns, latest pivots first.
+    The result maps each pivot column to its row; dividing a row by its
+    pivot entry gives that row of the reduced row echelon form.  The input
+    rows are not modified.
+    """
+    pivots = _forward(rows)
     for p in sorted(pivots, reverse=True):
         row = pivots[p]
         for c in [c for c in row if c != p and c in pivots]:

@@ -13,27 +13,31 @@ representations read off an arc: below an interior point means the direct
 arrow carries the identity, above means the inverse one does.
 
 Hom spaces are computed from the commuting-square equations, which
-``_hom_system`` assembles as sparse integer rows for ``linalg.echelon``.  It
-is the one place those equations are written: ``hom_basis`` and ``hom_dim``
-eliminate its rows, and ``Morphism.is_valid`` evaluates them on a
-morphism's entries.  Ext^1 comes from the symmetric Euler-type form and is
-never computed any other way here.  ``morphism_parts`` gives the kernel and
-cokernel of a morphism; their arrow maps are read off the canonical kernel
-bases of ``linalg.nullspace``, with no linear solve; a map is injective
-when its kernel is zero.  ``is_isomorphic`` returns ``True`` on equal
-representations first, so its callers make no equality test of their own.
+``_hom_system`` assembles as sparse integer rows.  It is the one place
+those equations are written: ``hom_basis`` takes their ``linalg.kernel``,
+``hom_dim`` their ``linalg.rank``, and ``Morphism.is_valid`` evaluates
+them on a morphism's entries.  Ext^1 comes from the symmetric Euler-type
+form and is never computed any other way here.  ``morphism_parts`` gives
+the kernel and cokernel of a morphism; their arrow maps are read off the
+canonical kernel bases of ``linalg.nullspace``, with no linear solve; a map
+is injective when its kernel is zero.  ``is_isomorphic`` returns ``True``
+on equal representations first, so its callers make no equality test of
+their own.
 
-Four functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
-``hom_basis`` and ``hom_dim`` on the ``(source, target)`` pair of
-representations and ``morphism_parts`` on the morphism.  ``hom_dim`` is the
-number of unknowns minus the rank of the system (rank-nullity), so it
-builds no ``Morphism`` and keeps no basis.  A ``Representation`` computes
-its hash once and keeps it, so these keys hash their ``Fraction`` entries
-once per object, not once per lookup.  It also builds its arrow table once,
-on first use: per arrow, the source and target indices, the nonzero entries
-of each column and the negated nonzero entries of each row.
-``_hom_system`` zips the source's and the target's tables, so a module's
-matrices are scanned once, not once per pair it takes part in.
+Five functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
+``hom_basis``, ``hom_dim`` and ``ext1_dim`` on the pair of representations
+and ``morphism_parts`` on the morphism.  ``hom_dim`` is the number of
+unknowns minus the forward-pass rank of the system (rank-nullity,
+``linalg.rank``), so it builds no ``Morphism``, keeps no basis and skips
+the back-reduction.  A ``Representation`` computes its hash once and keeps
+it, so these keys hash their ``Fraction`` entries once per object, not once
+per lookup.  It also builds two things once, on first use: the bitmask of
+its arrows with a nonzero map, and its arrow table, which holds per arrow
+the source and target indices, the nonzero entries of each column and the
+negated nonzero entries of each row.  So a module's matrices are scanned
+once, not once per pair it takes part in.  ``_hom_system`` reads the two
+tables only on the arrows where the source or the target carries a map,
+since an arrow with both maps zero writes no equation.
 """
 
 from __future__ import annotations
@@ -114,6 +118,12 @@ class Representation:
     def integral(self) -> bool:
         """Whether every map entry is an integer."""
         return all(x.denominator == 1 for m in self.maps for row in m for x in row)
+
+    @cached_property
+    def mapped(self) -> int:
+        """Bitmask of the arrows with a nonzero map: bit j for arrow j of
+        ``arrows(n)``."""
+        return sum(1 << j for j, m in enumerate(self.maps) if not linalg.is_zero(m))
 
     @cached_property
     def arrow_table(self) -> tuple[tuple[int, int, tuple, tuple], ...]:
@@ -244,11 +254,12 @@ def _hom_system(
     Unknowns are the entries of the per-vertex matrices, ordered by
     (vertex, row, column); one equation per arrow and entry of the
     commuting square.  Equations are assembled from the source's column
-    entries and the target's negated row entries in their arrow tables, and
-    equations that are identically zero are never written.  The arrow
-    tables hold integral entries as ``int``, so only a pair with a
-    non-integral entry needs its rows scaled.  Modules of different rank
-    raise ``ValueError``.
+    entries and the target's negated row entries in their arrow tables, on
+    the arrows in ``source.mapped | target.mapped`` in increasing order, and
+    equations that are identically zero are never written; a pair with no
+    unknowns has no rows.  The arrow tables hold integral entries as
+    ``int``, so only a pair with a non-integral entry needs its rows
+    scaled.  Modules of different rank raise ``ValueError``.
     """
     if source.n != target.n:
         raise ValueError("rank mismatch")
@@ -257,9 +268,17 @@ def _hom_system(
     for ds, dt in zip(sdims, tdims):
         offsets.append(offsets[-1] + dt * ds)
     rows = []
-    for (s, t, ms_cols, _), (_, _, _, mt_rows) in zip(
-        source.arrow_table, target.arrow_table
-    ):
+    if not offsets[-1]:
+        return rows, offsets
+    source_table, target_table = source.arrow_table, target.arrow_table
+    mapped = source.mapped | target.mapped
+    while mapped:
+        # the lowest set bit first, so the rows keep arrows(n)'s order
+        low = mapped & -mapped
+        mapped ^= low
+        j = low.bit_length() - 1
+        s, t, ms_cols, _ = source_table[j]
+        mt_rows = target_table[j][3]
         # (phi_t @ ms - mt @ phi_s)[r][c] = 0: phi_t[r][k] has coefficient
         # ms[k][c] and phi_s[k][c] has coefficient -mt[r][k].
         base_t, width_t = offsets[t], sdims[t]
@@ -301,9 +320,10 @@ def hom_basis(source: Representation, target: Representation) -> tuple[Morphism,
 @cache
 def hom_dim(source: Representation, target: Representation) -> int:
     """dim Hom(source, target) by rank-nullity: the number of unknowns of
-    ``_hom_system`` minus its rank.  No basis is built or kept."""
+    ``_hom_system`` minus its rank, read off the forward pass alone
+    (``linalg.rank``).  No basis is built or kept."""
     rows, offsets = _hom_system(source, target)
-    return offsets[-1] - len(linalg.echelon(rows))
+    return offsets[-1] - linalg.rank(rows)
 
 
 def _dot(x, y) -> Fraction:
@@ -366,6 +386,7 @@ def quad(x) -> int:
     return bilinear(x, x)
 
 
+@cache
 def ext1_dim(m: Representation, n: Representation) -> int:
     value = hom_dim(m, n) + hom_dim(n, m) - bilinear(m.dims, n.dims)
     if value < 0:

@@ -206,6 +206,7 @@ def test_clear_caches_empties_every_package_cache(clear_caches):
         quiver.hom_dim,
         quiver.arc_module,
         quiver.morphism_parts,
+        quiver.ext1_dim,
         mutation._mutate_member,
         checks._hom_table,
         arcs.nad_table,

@@ -5,8 +5,10 @@ import pytest
 
 from arcbricks.linalg import (
     identity,
+    integer_rows,
     matmul,
     nullspace,
+    rank,
     rref,
     solve_matrix,
     transpose,
@@ -133,6 +135,7 @@ def test_rref_rank_nullspace_match_reference():
     for m, ncols in [*degenerate, *random_matrices(seed=7)]:
         red, pivots = rref(m)
         assert (red, pivots) == reference_rref(m)
+        assert rank(integer_rows(map(enumerate, m))) == len(pivots)
         assert all_fractions(red)
         basis = nullspace(m)
         assert basis == reference_nullspace(m, ncols)

@@ -11,6 +11,7 @@ from arcbricks.arcs import Arc, double_diagram, enumerate_arcs, restrict_green
 from arcbricks.permutations import all_permutations
 from arcbricks.quiver import (
     Morphism,
+    _hom_system,
     arc_module,
     arrow_source,
     arrow_target,
@@ -519,6 +520,48 @@ def test_hom_basis_matches_dense_reference_beyond_arc_modules(clear_caches):
             assert_hom_basis_matches_reference(target, source)
             assert hom_dim(source, target) == len(hom_basis(source, target))
             assert hom_dim(target, source) == len(hom_basis(target, source))
+
+
+def reference_hom_system(source, target):
+    """``_hom_system``'s rows and offsets, assembled by zipping the two
+    arrow tables over all 2(n-1) arrows, also those where both maps are
+    zero, and with no early return for a pair without unknowns."""
+    sdims, tdims = source.dims, target.dims
+    offsets = [0]
+    for ds, dt in zip(sdims, tdims):
+        offsets.append(offsets[-1] + dt * ds)
+    rows = []
+    for (s, t, ms_cols, _), (_, _, _, mt_rows) in zip(
+        source.arrow_table, target.arrow_table
+    ):
+        for r, mt_row in enumerate(mt_rows):
+            at_r = offsets[t] + r * sdims[t]
+            for c, ms_col in enumerate(ms_cols):
+                if not (ms_col or mt_row):
+                    continue
+                row = {at_r + k: x for k, x in ms_col}
+                for k, x in mt_row:
+                    row[offsets[s] + k * sdims[s] + c] = x
+                rows.append(row)
+    if not (source.integral and target.integral):
+        rows = linalg.integer_rows(row.items() for row in rows)
+    return rows, offsets
+
+
+def test_hom_system_skips_no_equation(clear_caches):
+    pairs = []
+    for n in range(1, 5):
+        modules = [arc_module(arc, n) for arc in enumerate_arcs(n)]
+        pairs += itertools.product(modules, repeat=2)
+    reps, modules = modules_beyond_arc_modules()
+    pairs += itertools.product([*reps, *modules], repeat=2)
+    # S_1 + S_1 at n=2: two dimensions at v_1 and every map zero
+    double = make_representation(2, (2, 0), {})
+    assert double.mapped == 0
+    pairs.append((double, double))
+    for source, target in pairs:
+        assert _hom_system(source, target) == reference_hom_system(source, target)
+    assert hom_dim(double, double) == 4
 
 
 def test_hom_between_modules_of_different_rank_raises():
