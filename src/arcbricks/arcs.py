@@ -2,13 +2,15 @@
 
 An arc joins ``left < right`` and records, for every strictly interior
 point, whether it passes above or below; that data is a complete isotopy
-invariant.  A ``ColoredDiagram`` is the n-entry colored diagram D_w of a
-permutation w (green entry = descent, red = ascent), and w is all it stores:
-``double_diagram(w)`` is that diagram, its entries are read off w on first
-use in one right-to-left pass over the word, and
-``ColoredDiagram.from_entries`` is the one decoder of entries built
-elsewhere, accepting them exactly when they are D_w for the word their
-endpoint chain spells.  The crossing and diagram tests decide the
+invariant.  An ``Arc`` computes its field hash once and keeps it, as
+``quiver.Representation`` does, so every cache and dict keyed on arcs
+hashes a stored int per lookup.  A ``ColoredDiagram`` is the n-entry
+colored diagram D_w of a permutation w (green entry = descent, red =
+ascent), and w is all it stores: ``double_diagram(w)`` is that diagram,
+its entries are read off w on first use in one right-to-left pass over the
+word, and ``ColoredDiagram.from_entries`` is the one decoder of entries
+built elsewhere, accepting them exactly when they are D_w for the word
+their endpoint chain spells.  The crossing and diagram tests decide the
 noncrossing conditions on arc sets:
 
   (nc1)  no two arcs cross at a non-endpoint,
@@ -44,6 +46,15 @@ class Arc:
         if not set(self.above) <= interior:
             raise ValueError(f"above-points {set(self.above)} escape the open span")
         object.__setattr__(self, "above", frozenset(self.above))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.left, self.right, self.above))
+
+    def __hash__(self) -> int:
+        """The dataclass field hash, computed on first use and kept; the
+        fields are frozen, so it cannot go stale."""
+        return self._hash
 
     @property
     def interior(self) -> range:

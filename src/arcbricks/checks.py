@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Any, Callable, Iterator
 
@@ -47,14 +47,17 @@ from .permutations import (
     left_multiply_simple,
     weak_leq,
 )
-from .linalg import is_zero
+from .linalg import identity, is_zero
 from .quiver import (
+    Representation,
     arc_module,
+    arrows,
     check_relations,
     ext1_dim,
     hom_dim,
     is_brick,
     is_semibrick,
+    make_representation,
     quad,
 )
 from .quotients import (
@@ -123,10 +126,33 @@ def _bijection_counts(n: int) -> Iterator[Case]:
     yield "distinct green diagrams", len(greens), math.factorial(n + 1)
 
 
+def _both_arrows_at_one(module: Representation, i: int) -> Representation:
+    """The module with both arrows a_i and a_i^- set to 1, where it has
+    dimension 1 at v_i and at v_{i+1}: a_i^- a_i is then 1 at v_i, so the
+    mesh relation fails there."""
+    maps = list(module.maps)
+    maps[2 * (i - 1)] = maps[2 * i - 1] = identity(1)
+    return replace(module, maps=tuple(maps))
+
+
+def _plus_simple(module: Representation, v: int) -> Representation:
+    """The direct sum of the module and the simple S_v, for a vertex v
+    outside the module's support; no nonzero map touches v, so the module's
+    maps carry over unchanged."""
+    dims = list(module.dims)
+    dims[v - 1] = 1
+    named = {a: m for a, m in zip(arrows(module.n), module.maps) if not is_zero(m)}
+    return make_representation(module.n, dims, named)
+
+
 def _brick_classification(n: int) -> Iterator[Case]:
     """Arc counts match the closed formula and the single-descent count;
     every arc module satisfies the mesh relations and is a brick of
-    quadratic value 2 with no self-extension."""
+    quadratic value 2 with no self-extension.  On the negative side, each
+    arc module with an interior point fails the relations once both arrows
+    under its first interior point carry 1, and each arc module with a
+    vertex next to its support is no brick once summed with the simple
+    there."""
     arcs = enumerate_arcs(n)
     yield "arcs", len(arcs), 2 ** (n + 1) - n - 2
     single = sum(1 for w in all_permutations(n) if len(descents(w)) == 1)
@@ -137,6 +163,13 @@ def _brick_classification(n: int) -> Iterator[Case]:
         yield f"{arc} is a brick", is_brick(module), True
         yield f"{arc} quadratic value", quad(module.dims), 2
         yield f"{arc} self-extension", ext1_dim(module, module), 0
+        if arc.interior:
+            i = arc.left
+            label = f"{arc} with a{i} and a{i}- at 1 satisfies the relations"
+            yield label, check_relations(_both_arrows_at_one(module, i)), False
+        v = arc.left - 1 if arc.left > 1 else arc.right
+        if v <= n:
+            yield f"{arc} + S_{v} is a brick", is_brick(_plus_simple(module, v)), False
 
 
 def _independent_morphisms(maps, n: int) -> bool:
@@ -185,8 +218,9 @@ def _orthogonality_iff_noncrossing(n: int) -> Iterator[Case]:
 
 def _semibrick_oracle(n: int) -> Iterator[Case]:
     """The pairwise hom-orthogonal arc sets, read off the hom table, are
-    exactly the (n+1)! green diagrams, and the modules of each green diagram
-    form a semibrick."""
+    exactly the (n+1)! green diagrams; the modules of each green diagram
+    form a semibrick, and the modules of each pair of distinct arcs that
+    fails ``check_nad`` do not."""
     arcs = enumerate_arcs(n)
     homs = _hom_table(n)
     size = len(arcs)
@@ -201,6 +235,11 @@ def _semibrick_oracle(n: int) -> Iterator[Case]:
     for w, green in green_of.items():
         modules = [arc_module(arc, n) for arc in green]
         yield f"w={w} green modules form a semibrick", is_semibrick(modules), True
+    for i, a in enumerate(arcs):
+        for b in arcs[i + 1 :]:
+            if not check_nad([a, b]):
+                pair = [arc_module(a, n), arc_module(b, n)]
+                yield f"{a},{b} not noncrossing: semibrick", is_semibrick(pair), False
     greens = set(green_of.values())
     yield "orthogonal sets", len(orthogonal), math.factorial(n + 1)
     for label, extra in (

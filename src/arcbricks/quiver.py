@@ -31,13 +31,17 @@ unknowns minus the forward-pass rank of the system (rank-nullity,
 ``linalg.rank``), so it builds no ``Morphism``, keeps no basis and skips
 the back-reduction.  A ``Representation`` computes its hash once and keeps
 it, so these keys hash their ``Fraction`` entries once per object, not once
-per lookup.  It also builds two things once, on first use: the bitmask of
-its arrows with a nonzero map, and its arrow table, which holds per arrow
-the source and target indices, the nonzero entries of each column and the
-negated nonzero entries of each row.  So a module's matrices are scanned
-once, not once per pair it takes part in.  ``_hom_system`` reads the two
-tables only on the arrows where the source or the target carries a map,
-since an arrow with both maps zero writes no equation.
+per lookup.  It also builds, once and on first use, three arrow bitmasks
+(``mapped``: a nonzero map; ``tails`` and ``heads``: the arrow's source,
+respectively target, vertex in the support) and its arrow table, which
+holds per arrow the source and target indices, the nonzero entries of each
+column and the negated nonzero entries of each row.  So a module's
+matrices are scanned once, not once per pair it takes part in.
+``_hom_system`` reads the two tables only on the arrows of
+``(source.mapped | target.mapped) & source.tails & target.heads``: an arrow
+from s to t has equations only for a nonzero target.dim(t) x source.dim(s)
+block, and only where a map is nonzero, so these are exactly the arrows
+that write one.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import accumulate
+from operator import mul
 
 from . import linalg
 from .arcs import Arc
@@ -124,6 +130,18 @@ class Representation:
         """Bitmask of the arrows with a nonzero map: bit j for arrow j of
         ``arrows(n)``."""
         return sum(1 << j for j, m in enumerate(self.maps) if not linalg.is_zero(m))
+
+    @cached_property
+    def tails(self) -> int:
+        """Bitmask of the arrows whose source vertex is in the support."""
+        ends = map(arrow_source, arrows(self.n))
+        return sum(1 << j for j, v in enumerate(ends) if self.dim(v))
+
+    @cached_property
+    def heads(self) -> int:
+        """Bitmask of the arrows whose target vertex is in the support."""
+        ends = map(arrow_target, arrows(self.n))
+        return sum(1 << j for j, v in enumerate(ends) if self.dim(v))
 
     @cached_property
     def arrow_table(self) -> tuple[tuple[int, int, tuple, tuple], ...]:
@@ -245,6 +263,18 @@ class Morphism:
         )
 
 
+def _equation_arrows(source: Representation, target: Representation) -> int:
+    """Bitmask of the arrows on which Hom(source, target) has an equation.
+
+    Arrow j from s to t writes at most one equation per entry of a
+    target.dim(t) x source.dim(s) block: the one at (r, c) when column c of
+    the source's map or row r of the target's map is nonzero.  So j writes
+    at least one exactly when it is in this mask: one of the two maps is
+    nonzero, s is in the source's support and t is in the target's.
+    """
+    return (source.mapped | target.mapped) & source.tails & target.heads
+
+
 def _hom_system(
     source: Representation, target: Representation
 ) -> tuple[list[linalg.Row], list[int]]:
@@ -255,27 +285,23 @@ def _hom_system(
     (vertex, row, column); one equation per arrow and entry of the
     commuting square.  Equations are assembled from the source's column
     entries and the target's negated row entries in their arrow tables, on
-    the arrows in ``source.mapped | target.mapped`` in increasing order, and
-    equations that are identically zero are never written; a pair with no
-    unknowns has no rows.  The arrow tables hold integral entries as
+    the arrows of ``_equation_arrows`` in increasing order, and equations
+    that are identically zero are never written; a pair with no unknowns
+    has no such arrow, so no rows.  The arrow tables hold integral entries as
     ``int``, so only a pair with a non-integral entry needs its rows
     scaled.  Modules of different rank raise ``ValueError``.
     """
     if source.n != target.n:
         raise ValueError("rank mismatch")
     sdims, tdims = source.dims, target.dims
-    offsets = [0]
-    for ds, dt in zip(sdims, tdims):
-        offsets.append(offsets[-1] + dt * ds)
+    offsets = list(accumulate(map(mul, sdims, tdims), initial=0))
     rows = []
-    if not offsets[-1]:
-        return rows, offsets
     source_table, target_table = source.arrow_table, target.arrow_table
-    mapped = source.mapped | target.mapped
-    while mapped:
+    arrows_left = _equation_arrows(source, target)
+    while arrows_left:
         # the lowest set bit first, so the rows keep arrows(n)'s order
-        low = mapped & -mapped
-        mapped ^= low
+        low = arrows_left & -arrows_left
+        arrows_left ^= low
         j = low.bit_length() - 1
         s, t, ms_cols, _ = source_table[j]
         mt_rows = target_table[j][3]
@@ -288,7 +314,9 @@ def _hom_system(
             for c, ms_col in enumerate(ms_cols):
                 if not (ms_col or mt_row):
                     continue
-                row = {at_r + k: x for k, x in ms_col}
+                row = {}
+                for k, x in ms_col:
+                    row[at_r + k] = x
                 for k, x in mt_row:
                     row[base_s + k * width_s + c] = x
                 rows.append(row)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -26,6 +27,7 @@ from arcbricks.permutations import (
     identity_permutation,
     parse_permutation,
 )
+from arcbricks.quiver import arc_module
 from arcbricks.quotients import FAMILIES, family_count, radical_square_ideal
 
 from expected_diagrams import DAD_RANK2, DAD_RANK3, EXAMPLE_53271468, G, R
@@ -51,6 +53,24 @@ def test_arc_validation():
         Arc(3, 2)
     with pytest.raises(ValueError):
         Arc(1, 3, frozenset({3}))
+
+
+def test_arc_hash_is_kept_and_agrees_with_equality(clear_caches):
+    built = Arc(1, 3, frozenset({2}))
+    interned = _interned_arc(1, 3, 1 << 2)
+    assert built is not interned and built == interned
+    assert hash(built) == hash(interned) == hash((1, 3, frozenset({2})))
+    assert vars(built)["_hash"] == hash(built)
+    # each finds the arc_module cache entry that the other made
+    assert arc_module(built, 3) is arc_module(interned, 3)
+    assert arc_module(interned, 2) is arc_module(built, 2)
+    for arc in enumerate_arcs(4):
+        copy = Arc(arc.left, arc.right, frozenset(arc.above))
+        assert copy is not arc and copy == arc and hash(copy) == hash(arc)
+        assert {arc: arc.left}[copy] == arc.left
+    assert [f.name for f in dataclasses.fields(Arc)] == ["left", "right", "above"]
+    assert repr(built) == "Arc(left=1, right=3, above=frozenset({2}))"
+    assert "_hash" not in repr(built) and str(hash(built)) not in repr(built)
 
 
 def test_arc_json_round_trip():

@@ -91,7 +91,7 @@ PINNED = {
     "render": "829999a9142d2a625fe70c542f987a8d5271b338b8e392bb660edb48a974cd73",
     "hasse": "56597ef10b4861106447c0137437c315420e930afd65880a6554c9a1becdda7c",
     "count": "e02a2d54b3da9114237479968608c9ad2c192a673bd38dd2b1e606dd5987d619",
-    "check": "a41c219f4ab7920f8d1763ec73bb9e0e1dcfaaa3b289e66b4a5bc2aafbeae58d",
+    "check": "dec16e39ece734234ff4bfa3f650ea7975a8b4e54d47773d0acddb72faed9396",
 }
 
 

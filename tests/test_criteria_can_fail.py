@@ -46,20 +46,12 @@ def first_dropped(route):
     return lambda *args: route(*args)[1:]
 
 
-def row(name, fault, failing, *marks):
-    return pytest.param(name, fault, failing, id=name, marks=marks)
+def row(name, fault, failing):
+    return pytest.param(name, fault, failing, id=name)
 
-
-# ROADMAP item 9: every case of these oracles expects True, so a stub that
-# always says True passes; the criteria need expected-false cases.
-ALWAYS_TRUE = pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="ROADMAP item 9: the criterion has no case where the oracle must say False",
-)
 
 FAULTS = [
-    row("check_nad", negated, {"01", "04"}),
+    row("check_nad", negated, {"01", "04", "05"}),
     row("is_crossing", negated, {"04"}),
     row("smc_leq", negated, {"08"}),
     row("collections_match", returns(False), {"07"}),
@@ -75,9 +67,9 @@ FAULTS = [
     row("is_right_arc", negated, {"10"}),
     row("nad_ideal_filter", first_dropped, {"10"}),
     row("smc_axiom_check", returns(True), {"07"}),
-    row("is_semibrick", returns(True), {"05"}, ALWAYS_TRUE),
-    row("check_relations", returns(True), {"02"}, ALWAYS_TRUE),
-    row("is_brick", returns(True), {"02"}, ALWAYS_TRUE),
+    row("is_semibrick", returns(True), {"05"}),
+    row("check_relations", returns(True), {"02"}),
+    row("is_brick", returns(True), {"02"}),
 ]
 
 

@@ -11,6 +11,7 @@ from arcbricks.arcs import Arc, double_diagram, enumerate_arcs, restrict_green
 from arcbricks.permutations import all_permutations
 from arcbricks.quiver import (
     Morphism,
+    _equation_arrows,
     _hom_system,
     arc_module,
     arrow_source,
@@ -548,6 +549,17 @@ def reference_hom_system(source, target):
     return rows, offsets
 
 
+def reference_equation_arrows(source, target):
+    """Bitmask of the arrows on which ``reference_hom_system`` writes a row."""
+    mask = 0
+    for j, ((_, _, ms_cols, _), (_, _, _, mt_rows)) in enumerate(
+        zip(source.arrow_table, target.arrow_table)
+    ):
+        if any(ms_col or mt_row for mt_row in mt_rows for ms_col in ms_cols):
+            mask |= 1 << j
+    return mask
+
+
 def test_hom_system_skips_no_equation(clear_caches):
     pairs = []
     for n in range(1, 5):
@@ -559,9 +571,20 @@ def test_hom_system_skips_no_equation(clear_caches):
     double = make_representation(2, (2, 0), {})
     assert double.mapped == 0
     pairs.append((double, double))
+    # S_1 + S_3 at n=3, with a hole at v_2, both ways against the arc module
+    # 1 -> 2 <- 3: its two maps point into the hole, so they write rows out
+    # of S_1 + S_3 and none into it
+    holed = direct_sum(simple(3, 1), simple(3, 3))
+    through = arc_module(Arc(1, 4, frozenset({3})), 3)
+    pairs += [(holed, through), (through, holed)]
     for source, target in pairs:
         assert _hom_system(source, target) == reference_hom_system(source, target)
+        assert _equation_arrows(source, target) == reference_equation_arrows(
+            source, target
+        )
     assert hom_dim(double, double) == 4
+    assert [len(_hom_system(*pair)[0]) for pair in pairs[-2:]] == [2, 0]
+    assert (hom_dim(holed, through), hom_dim(through, holed)) == (0, 2)
 
 
 def test_hom_between_modules_of_different_rank_raises():

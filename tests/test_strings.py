@@ -79,6 +79,15 @@ def test_graph_maps_match_hom_dims():
             assert graph_map_count(a, b) == hom_dim(arc_module(a, n), arc_module(b, n))
 
 
+def test_graph_map_count_is_the_number_of_graph_maps():
+    # the count sums the middle lookups without building the list, so only
+    # this ties it to graph_maps
+    for n in range(1, 6):
+        arcs = enumerate_arcs(n)
+        for a, b in itertools.product(arcs, repeat=2):
+            assert graph_map_count(a, b) == len(graph_maps(a, b))
+
+
 def test_materialized_maps_are_independent_morphisms():
     for n in (2, 3):
         arcs = enumerate_arcs(n)
