@@ -40,8 +40,9 @@ class Arc:
     above: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if not 1 <= self.left < self.right:
-            raise ValueError(f"need 1 <= left < right, got ({self.left}, {self.right})")
+        points = (self.left, self.right, *self.above)
+        if {*map(type, points)} != {int} or not 1 <= self.left < self.right:
+            raise ValueError(f"need int points and 1 <= left < right, got {points}")
         interior = set(range(self.left + 1, self.right))
         if not set(self.above) <= interior:
             raise ValueError(f"above-points {set(self.above)} escape the open span")

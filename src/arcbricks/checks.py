@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable, Iterator
 
@@ -51,13 +51,11 @@ from .linalg import identity, is_zero
 from .quiver import (
     Representation,
     arc_module,
-    arrows,
     check_relations,
     ext1_dim,
     hom_dim,
     is_brick,
     is_semibrick,
-    make_representation,
     quad,
 )
 from .quotients import (
@@ -127,22 +125,20 @@ def _bijection_counts(n: int) -> Iterator[Case]:
 
 
 def _both_arrows_at_one(module: Representation, i: int) -> Representation:
-    """The module with both arrows a_i and a_i^- set to 1, where it has
-    dimension 1 at v_i and at v_{i+1}: a_i^- a_i is then 1 at v_i, so the
-    mesh relation fails there."""
-    maps = list(module.maps)
-    maps[2 * (i - 1)] = maps[2 * i - 1] = identity(1)
-    return replace(module, maps=tuple(maps))
+    """The module with its stored maps and both arrows a_i and a_i^- set to
+    1, where it has dimension 1 at v_i and at v_{i+1}: a_i^- a_i is then 1
+    at v_i, so the mesh relation fails there."""
+    both = {(i, 1): identity(1), (i, -1): identity(1)}
+    return Representation(module.n, module.dims, {**dict(module.maps), **both})
 
 
 def _plus_simple(module: Representation, v: int) -> Representation:
     """The direct sum of the module and the simple S_v, for a vertex v
     outside the module's support; no nonzero map touches v, so the module's
-    maps carry over unchanged."""
+    stored maps carry over unchanged."""
     dims = list(module.dims)
     dims[v - 1] = 1
-    named = {a: m for a, m in zip(arrows(module.n), module.maps) if not is_zero(m)}
-    return make_representation(module.n, dims, named)
+    return Representation(module.n, dims, module.maps)
 
 
 def _brick_classification(n: int) -> Iterator[Case]:

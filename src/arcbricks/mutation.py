@@ -31,18 +31,16 @@ from .arcs import (
     double_diagram,
     enumerate_arcs,
 )
-from .linalg import echelon, identity, is_zero
+from .linalg import echelon, identity
 from .permutations import Permutation, all_permutations, left_multiply_simple
 from .quiver import (
     Representation,
     arc_module,
-    arrows,
     ext1_dim,
     hom_basis,
     hom_dim,
     is_isomorphic,
     is_semibrick,
-    make_representation,
     morphism_parts,
 )
 from .strings import graph_map_count
@@ -196,11 +194,12 @@ def _extension_middle(
     With disjoint, adjacent supports E is forced: the pivot is a submodule
     and the neighbor the quotient, so E carries both modules' maps, and the
     one arrow from the neighbor's boundary vertex into the pivot's carries a
-    scalar that is nonzero (else E splits) and so rescales to 1.  E meets
-    the mesh relations: each 2-cycle through the two joining vertices passes
-    through the arrow from the pivot into the neighbor, which is zero.  The
-    glue is checked: Hom(pivot, E) is one map, with zero kernel and with
-    cokernel the neighbor.
+    scalar that is nonzero (else E splits) and so rescales to 1; the
+    supports are disjoint, so no arrow is given twice.  E meets the mesh
+    relations: each 2-cycle through the two joining vertices passes through
+    the arrow from the pivot into the neighbor, which is zero.  The glue is
+    checked: Hom(pivot, E) is one map, with zero kernel and with cokernel
+    the neighbor.
     """
     n = pivot.n
     dims = tuple(p + q for p, q in zip(pivot.dims, neighbor.dims))
@@ -210,14 +209,8 @@ def _extension_middle(
         range(support[0], support[0] + len(support))
     ):
         raise MutationError(f"{pivot.dims} and {neighbor.dims} do not tile an interval")
-    named = {
-        a: m
-        for module in (pivot, neighbor)
-        for a, m in zip(arrows(n), module.maps)
-        if not is_zero(m)
-    }
-    named[(v - 1, -1 if pivot.dim(v - 1) else 1)] = identity(1)
-    middle = make_representation(n, dims, named)
+    glue = ((v - 1, -1 if pivot.dim(v - 1) else 1), identity(1))
+    middle = Representation(n, dims, (*pivot.maps, *neighbor.maps, glue))
     basis = hom_basis(pivot, middle)
     if len(basis) == 1:
         kernel, cokernel = morphism_parts(basis[0])

@@ -29,7 +29,8 @@ class Permutation:
 
     def __post_init__(self):
         n1 = len(self.word)
-        if n1 < 2 or sorted(self.word) != list(range(1, n1 + 1)):
+        ints = {*map(type, self.word)} == {int}  # no bool, float or str entry
+        if n1 < 2 or not ints or sorted(self.word) != list(range(1, n1 + 1)):
             raise ValueError(f"not a permutation of 1..{n1}: {self.word!r}")
 
     @property

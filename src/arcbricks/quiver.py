@@ -3,14 +3,19 @@
 Vertices are ``v_1 .. v_n``; for each ``1 <= i <= n-1`` there is a direct
 arrow ``a_i : v_i -> v_{i+1}`` and an inverse arrow ``a_i^- : v_{i+1} -> v_i``.
 An arrow is the pair ``(i, sign)`` with sign ``+1`` (direct) or ``-1``
-(inverse).  A representation stores one matrix per arrow, acting on column
-vectors, and is admissible when the mesh relation
+(inverse); a map is a matrix acting on column vectors.  A representation
+is admissible when the mesh relation
 
     (go right then back) - (go left then back) = 0
 
 holds at every vertex.  Arc modules are the 0/1-dimensional string
 representations read off an arc: below an interior point means the direct
 arrow carries the identity, above means the inverse one does.
+
+``Representation(n, dims, maps)`` is the one constructor and validator.
+``maps`` names the nonzero maps, as a dict or ``(arrow, matrix)`` pairs;
+it is stored as the nonzero pairs in ``arrows(n)`` order, so equal modules
+have equal fields and hashes, and ``map(a)`` is zero on an arrow left out.
 
 Hom spaces are computed from the commuting-square equations, which
 ``_hom_system`` assembles as sparse integer rows.  It is the one place
@@ -19,10 +24,10 @@ those equations are written: ``hom_basis`` takes their ``linalg.kernel``,
 them on a morphism's entries.  Ext^1 comes from the symmetric Euler-type
 form and is never computed any other way here.  ``morphism_parts`` gives
 the kernel and cokernel of a morphism; their arrow maps are read off the
-canonical kernel bases of ``linalg.nullspace``, with no linear solve; a map
-is injective when its kernel is zero.  ``is_isomorphic`` returns ``True``
-on equal representations first, so its callers make no equality test of
-their own.
+canonical kernel bases of ``linalg.nullspace``, with no linear solve, on
+the arrows its source or target maps; a map is injective when its kernel
+is zero.  ``is_isomorphic`` returns ``True`` on equal representations
+first, so its callers make no equality test of their own.
 
 Five functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
 ``hom_basis``, ``hom_dim`` and ``ext1_dim`` on the pair of representations
@@ -98,18 +103,32 @@ def parse_arrow(name: str) -> Arrow:
 class Representation:
     n: int
     dims: tuple[int, ...]
-    maps: tuple[Matrix, ...]  # indexed like arrows(n)
+    maps: tuple[tuple[Arrow, Matrix], ...]  # nonzero maps, in arrows(n) order
 
     def __post_init__(self):
-        if len(self.dims) != self.n or any(d < 0 for d in self.dims):
-            raise ValueError("dims must be n nonnegative integers")
-        arrs = arrows(self.n)
-        if len(self.maps) != len(arrs):
-            raise ValueError("need one matrix per arrow")
-        for a, m in zip(arrs, self.maps):
-            rows, cols = self.dim(arrow_target(a)), self.dim(arrow_source(a))
+        dims = tuple(self.dims)
+        if len(dims) != self.n or any(type(d) is not int or d < 0 for d in dims):
+            raise ValueError(f"dims must be {self.n} nonnegative integers, got {dims}")
+        given = tuple(self.maps.items() if isinstance(self.maps, dict) else self.maps)
+        named = dict(given)
+        if len(named) != len(given):
+            raise ValueError("an arrow is given two maps")
+        pairs = []
+        for a in arrows(self.n):
+            m = named.pop(a, None)
+            if m is None:
+                continue
+            m = tuple(map(tuple, m))
+            rows, cols = dims[arrow_target(a) - 1], dims[arrow_source(a) - 1]
             if len(m) != rows or any(len(row) != cols for row in m):
                 raise ValueError(f"matrix for {arrow_name(a)} is not {rows} x {cols}")
+            if not linalg.is_zero(m):
+                pairs.append((a, m))
+        if named:
+            names = ", ".join(sorted(map(arrow_name, named)))
+            raise ValueError(f"arrows {names} outside the rank-{self.n} quiver")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "maps", tuple(pairs))
 
     @cached_property
     def _hash(self) -> int:
@@ -123,13 +142,13 @@ class Representation:
     @cached_property
     def integral(self) -> bool:
         """Whether every map entry is an integer."""
-        return all(x.denominator == 1 for m in self.maps for row in m for x in row)
+        return all(x.denominator == 1 for _, m in self.maps for row in m for x in row)
 
     @cached_property
     def mapped(self) -> int:
         """Bitmask of the arrows with a nonzero map: bit j for arrow j of
         ``arrows(n)``."""
-        return sum(1 << j for j, m in enumerate(self.maps) if not linalg.is_zero(m))
+        return sum(1 << (2 * i - 2 + (sign < 0)) for (i, sign), _ in self.maps)
 
     @cached_property
     def tails(self) -> int:
@@ -150,9 +169,9 @@ class Representation:
         each row's negated nonzero entries as ``(column, -x)``.  Integral
         entries are stored as ``int``."""
         table = []
-        for a, m in zip(arrows(self.n), self.maps):
+        for a in arrows(self.n):
             s, t = arrow_source(a) - 1, arrow_target(a) - 1
-            entries = [[_exact(x) for x in row] for row in m]
+            entries = [[_exact(x) for x in row] for row in self.map(a)]
             cols = tuple(
                 tuple((k, row[c]) for k, row in enumerate(entries) if row[c])
                 for c in range(self.dims[s])
@@ -167,40 +186,23 @@ class Representation:
         return self.dims[v - 1]
 
     def map(self, a: Arrow) -> Matrix:
-        i, sign = a
+        """The map on arrow ``a``: its stored matrix, or zero."""
+        i, _ = a
         if not 1 <= i < self.n:
             raise ValueError(f"arrow {arrow_name(a)} outside the rank-{self.n} quiver")
-        return self.maps[2 * (i - 1) + (0 if sign > 0 else 1)]
+        for b, m in self.maps:
+            if b == a:
+                return m
+        return linalg.zeros(self.dim(arrow_target(a)), self.dim(arrow_source(a)))
 
     def to_json(self) -> dict:
         return {
             "dims": list(self.dims),
             "arrows": {
                 arrow_name(a): [[str(x) for x in row] for row in m]
-                for a, m in zip(arrows(self.n), self.maps)
-                if not linalg.is_zero(m)
+                for a, m in self.maps
             },
         }
-
-
-def make_representation(n: int, dims, named_maps: dict[Arrow, Matrix]) -> Representation:
-    """Build a representation from the nonzero maps; the rest are zero.  A
-    map on an arrow outside the rank-n quiver raises ``ValueError``."""
-    dims = tuple(dims)
-    if len(dims) != n or any(type(d) is not int or d < 0 for d in dims):
-        raise ValueError(f"dims must be {n} nonnegative integers, got {dims}")
-    quiver_arrows = arrows(n)
-    stray = set(named_maps).difference(quiver_arrows)
-    if stray:
-        names = ", ".join(sorted(arrow_name(a) for a in stray))
-        raise ValueError(f"arrows {names} outside the rank-{n} quiver")
-    maps = []
-    for a in quiver_arrows:
-        m = named_maps.get(a)
-        if m is None:
-            m = linalg.zeros(dims[arrow_target(a) - 1], dims[arrow_source(a) - 1])
-        maps.append(m)
-    return Representation(n, dims, tuple(maps))
 
 
 @cache
@@ -216,7 +218,7 @@ def arc_module(arc: Arc, n: int) -> Representation:
     for m in arc.interior:
         sign = 1 if m not in arc.above else -1
         named[(m - 1, sign)] = linalg.identity(1)
-    return make_representation(n, dims, named)
+    return Representation(n, dims, named)
 
 
 def check_relations(rep: Representation) -> bool:
@@ -386,7 +388,8 @@ def morphism_parts(f: Morphism) -> tuple[Representation, Representation]:
     ker_free = [_free_coordinates(basis) for basis in ker]
     cok_free = [_free_coordinates(basis) for basis in cok]
     ker_maps, cok_maps = {}, {}
-    for a in arrows(n):
+    # an arrow that neither module maps has zero kernel and cokernel maps
+    for a in dict.fromkeys(a for a, _ in f.source.maps + f.target.maps):
         s, t = arrow_source(a) - 1, arrow_target(a) - 1
         ms, mt = f.source.map(a), f.target.map(a)
         ker_maps[a] = tuple(
@@ -395,8 +398,8 @@ def morphism_parts(f: Morphism) -> tuple[Representation, Representation]:
         cok_maps[a] = tuple(
             tuple(_dot(c, [row[q] for row in mt]) for q in cok_free[s]) for c in cok[t]
         )
-    kernel = make_representation(n, [len(basis) for basis in ker], ker_maps)
-    cokernel = make_representation(n, [len(basis) for basis in cok], cok_maps)
+    kernel = Representation(n, [len(basis) for basis in ker], ker_maps)
+    cokernel = Representation(n, [len(basis) for basis in cok], cok_maps)
     return kernel, cokernel
 
 

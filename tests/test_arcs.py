@@ -55,6 +55,17 @@ def test_arc_validation():
         Arc(1, 3, frozenset({3}))
 
 
+@pytest.mark.parametrize(
+    "left, right, above",
+    [(True, 3, ()), (1.5, 3, ()), (1, 3.0, ()), (1, 3, (2.0,)), (1, 4, (True,))],
+)
+def test_arc_points_must_be_ints(left, right, above):
+    # a bool end would print as "left": true in JSON, and a float end would
+    # fail later inside range()
+    with pytest.raises(ValueError, match="need int points"):
+        Arc(left, right, frozenset(above))
+
+
 def test_arc_hash_is_kept_and_agrees_with_equality(clear_caches):
     built = Arc(1, 3, frozenset({2}))
     interned = _interned_arc(1, 3, 1 << 2)

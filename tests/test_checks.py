@@ -90,7 +90,7 @@ def test_a_module_off_the_mesh_relations_fails_criterion_02(clear_caches, monkey
         if (arc.left, arc.right) != (1, 3):
             return module
         one = linalg.identity(1)
-        return quiver.make_representation(n, module.dims, {(1, 1): one, (1, -1): one})
+        return quiver.Representation(n, module.dims, {(1, 1): one, (1, -1): one})
 
     monkeypatch.setattr(checks, "arc_module", doubled)
     result = run_criterion(criterion("02"), max_n=2)

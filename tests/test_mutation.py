@@ -29,12 +29,12 @@ from arcbricks.permutations import (
     weak_leq,
 )
 from arcbricks.quiver import (
+    Representation,
     arc_module,
     check_relations,
     ext1_dim,
     hom_basis,
     is_isomorphic,
-    make_representation,
     morphism_parts,
 )
 
@@ -227,7 +227,7 @@ def test_smc_axiom_check_sm4_proxy_needs_a_unimodular_matrix(monkeypatch):
     monkeypatch.setattr(mutation, "ext1_dim", lambda x, y: 0)
 
     def collection(*dims):
-        return tuple((make_representation(3, d, {}), 0) for d in dims)
+        return tuple((Representation(3, d, {}), 0) for d in dims)
 
     assert not smc_axiom_check(collection((1, 1, 0), (0, 1, 1), (1, 1, 0)), 3)
     assert not smc_axiom_check(collection((1, 1, 0), (0, 1, 1), (1, 0, 1)), 3)
@@ -258,7 +258,7 @@ def test_smc_axiom_check_sm4_matches_the_rational_inverse(monkeypatch):
         members = []
         for _ in range(n):
             dims = tuple(rng.randint(0, 2) for _ in range(n))
-            members.append((make_representation(n, dims, {}), rng.randint(0, 1)))
+            members.append((Representation(n, dims, {}), rng.randint(0, 1)))
         got = smc_axiom_check(members, n)
         assert got == reference_sm4(members, n), members
         outcomes.append(got)
@@ -334,6 +334,20 @@ def test_mutate_smc_matches_diagram_route():
             assert collections_match(got, expected)
 
 
+def test_module_route_returns_the_target_modules_exactly():
+    # equality, not collections_match's isomorphism: the module route must
+    # build the stored form of each target module, so a member carrying a
+    # zero map or rescaled entries fails here
+    mutations = 0
+    for w in all_permutations(5):
+        diagram = double_diagram(w)
+        for i in descents(w):
+            expected = psi(double_diagram(left_multiply_simple(i, w)))
+            assert mutate_smc_collection(psi(diagram), i) == expected, (str(w), i)
+            mutations += 1
+    assert mutations == 1800
+
+
 def injective(f):
     """Whether every vertex matrix has a pivot in each source column."""
     return all(
@@ -404,7 +418,7 @@ def test_collections_match_is_shift_sensitive():
 
 def test_collections_match_compares_modules_up_to_isomorphism():
     module = arc_module(Arc(1, 3), 2)
-    rescaled = make_representation(2, (1, 1), {(1, 1): ((Fraction(2),),)})
+    rescaled = Representation(2, (1, 1), {(1, 1): ((Fraction(2),),)})
     other = arc_module(Arc(1, 3, frozenset({2})), 2)
     assert rescaled != module and other.dims == module.dims
     assert collections_match(((module, 0),), ((rescaled, 0),))

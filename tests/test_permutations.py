@@ -108,6 +108,16 @@ def test_word_validation():
         Permutation((0, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "word", [(True, 2), (2, True), (2.0, 1.0, 3.0), (1, 2.0), ("1", 2)]
+)
+def test_word_entries_must_be_ints(word):
+    # (True, 2) would equal 12 and print as True2, and a float word would
+    # fail later inside inversion_rows
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation(word)
+
+
 def test_parse_and_str_round_trip():
     assert str(P("4312")) == "4312"
     big = Permutation(tuple([10] + list(range(1, 10))))

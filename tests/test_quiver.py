@@ -11,6 +11,7 @@ from arcbricks.arcs import Arc, double_diagram, enumerate_arcs, restrict_green
 from arcbricks.permutations import all_permutations
 from arcbricks.quiver import (
     Morphism,
+    Representation,
     _equation_arrows,
     _hom_system,
     arc_module,
@@ -25,7 +26,6 @@ from arcbricks.quiver import (
     is_brick,
     is_isomorphic,
     is_semibrick,
-    make_representation,
     morphism_parts,
     parse_arrow,
     path_action_is_zero,
@@ -47,7 +47,7 @@ def simple(n, v):
 
 
 def zero_module(n):
-    return make_representation(n, (0,) * n, {})
+    return Representation(n, (0,) * n, {})
 
 
 def zero_morphism(source, target):
@@ -111,7 +111,7 @@ def test_arc_module_worked_example():
 def test_arc_module_simples_and_sides():
     for k in (1, 2, 3):
         dims = tuple(1 if v == k else 0 for v in range(1, 4))
-        assert arc_module(Arc(k, k + 1), 3) == make_representation(3, dims, {})
+        assert arc_module(Arc(k, k + 1), 3) == Representation(3, dims, {})
     rep = arc_module(A13U, 2)
     assert rep.dims == (1, 1)
     assert rep.map((1, -1)) == linalg.identity(1)
@@ -125,7 +125,7 @@ def test_all_arc_modules_satisfy_relations():
 
 
 def test_check_relations_rejects_double_identity():
-    rep = make_representation(
+    rep = Representation(
         2, (1, 1), {(1, 1): linalg.identity(1), (1, -1): linalg.identity(1)}
     )
     assert not check_relations(rep)
@@ -210,8 +210,8 @@ def reference_parts(f):
         pushed = linalg.matmul(cok[t], f.target.map(a), f.target.dim(s))
         cok_maps[a] = linalg.matmul(pushed, rinv, c_s)
     return (
-        make_representation(n, ker_dims, ker_maps),
-        make_representation(n, cok_dims, cok_maps),
+        Representation(n, ker_dims, ker_maps),
+        Representation(n, cok_dims, cok_maps),
     )
 
 
@@ -223,7 +223,7 @@ def direct_sum(x, y):
             (linalg.ZERO,) * pad_x + row for row in y.map(a)
         )
     dims = [p + q for p, q in zip(x.dims, y.dims)]
-    return make_representation(x.n, dims, named)
+    return Representation(x.n, dims, named)
 
 
 def assert_parts_match_reference(f):
@@ -297,7 +297,7 @@ def test_ext1_symmetry():
 def test_brick_and_semibrick():
     for arc in enumerate_arcs(3):
         assert is_brick(arc_module(arc, 3))
-    lazy = make_representation(2, (1, 1), {})
+    lazy = Representation(2, (1, 1), {})
     assert not is_brick(lazy)  # two-dimensional endomorphism algebra
     for w in all_permutations(3):
         greens = restrict_green(double_diagram(w))
@@ -328,7 +328,7 @@ def test_is_isomorphic():
 
 def test_is_isomorphic_on_modules_with_a_vertex_of_dimension_2():
     def module(row):
-        return make_representation(2, (2, 1), {(1, 1): mat([row])})
+        return Representation(2, (2, 1), {(1, 1): mat([row])})
 
     assert is_isomorphic(module([1, 0]), module([1, 0]))
     with pytest.raises(ValueError, match="0/1 dimension vectors"):
@@ -358,7 +358,7 @@ def test_every_small_brick_is_an_arc_module():
                     for i, sign, dead in zip(inner, signs, drop):
                         if not dead:
                             named[(i, sign)] = linalg.identity(1)
-                    rep = make_representation(n, dims, named)
+                    rep = Representation(n, dims, named)
                     if not check_relations(rep):
                         continue
                     if is_brick(rep):
@@ -368,7 +368,7 @@ def test_every_small_brick_is_an_arc_module():
 def from_json(data, n):
     """The representation that ``to_json`` wrote, arrows it left out zero."""
     named = {parse_arrow(key): mat(m) for key, m in data["arrows"].items()}
-    return make_representation(n, data["dims"], named)
+    return Representation(n, data["dims"], named)
 
 
 def test_representation_json_round_trip():
@@ -378,18 +378,56 @@ def test_representation_json_round_trip():
     assert data["arrows"]["a1"] == [["1"]]
     assert "a1-" not in data["arrows"]
     assert from_json(data, 7) == rep
-    halved = make_representation(
+    halved = Representation(
         2, (1, 1), {(1, 1): ((Fraction(1, 2),),)}
     )
     assert halved.to_json() == {"dims": [1, 1], "arrows": {"a1": [["1/2"]]}}
     assert from_json(halved.to_json(), 2) == halved
 
 
+def test_one_module_built_four_ways_is_stored_once():
+    # arc(1,4;2^) at n=3: a1- and a2 carry 1
+    module = arc_module(Arc(1, 4, frozenset({2})), 3)
+    one = mat([[1]])
+    builds = [
+        Representation(3, (1, 1, 1), {(1, 1): mat([[0]]), (1, -1): one, (2, 1): one}),
+        Representation(3, (1, 1, 1), (((2, 1), one), ((1, -1), one))),
+        Representation(3, [1, 1, 1], {(1, -1): one, (2, 1): one}),
+        Representation(3, (1, 1, 1), {(1, -1): [[1]], (2, 1): ((1,),)}),
+    ]
+    stored = (3, (1, 1, 1), (((1, -1), one), ((2, 1), one)))
+    for rep in builds:
+        assert tuple(getattr(rep, f.name) for f in dataclasses.fields(rep)) == stored
+        assert type(rep.dims) is tuple
+        assert rep == module and hash(rep) == hash(module)
+        assert [a for a, _ in rep.maps] == [a for a in arrows(3) if a in dict(rep.maps)]
+        assert not any(linalg.is_zero(m) for _, m in rep.maps)
+        assert rep.map((1, 1)) == linalg.zeros(1, 1)
+    assert Representation(3, (0, 0, 0), {(2, -1): ()}).maps == ()
+
+
+@pytest.mark.parametrize("dims", [(1.0, 1), (True, True), (1, -1), (1,), (1, 1, 0)])
+def test_dims_must_be_n_nonnegative_ints(dims):
+    # a float dim would pass until hom_dim raised TypeError on it
+    with pytest.raises(ValueError, match="dims must be 2 nonnegative integers"):
+        Representation(2, dims, {})
+
+
+def test_each_map_is_checked_once_given():
+    one = linalg.identity(1)
+    with pytest.raises(ValueError, match="matrix for a1 is not 1 x 2"):
+        Representation(2, (2, 1), {(1, 1): one})
+    with pytest.raises(ValueError, match="matrix for a1- is not 2 x 1"):
+        Representation(2, (2, 1), {(1, -1): ((1, 0),)})
+    with pytest.raises(ValueError, match="given two maps"):
+        Representation(2, (1, 1), (((1, 1), one), ((1, 1), one)))
+
+
 def test_maps_on_arrows_outside_the_quiver_are_rejected():
     with pytest.raises(ValueError, match="a5 outside the rank-2 quiver"):
-        make_representation(2, (1, 1), {(5, 1): ((1,),)})
+        Representation(2, (1, 1), {(5, 1): ((1,),)})
     with pytest.raises(ValueError, match="a5- outside the rank-2 quiver"):
-        make_representation(2, (1, 1), {(5, -1): ((1,),)})
+        Representation(2, (1, 1), {(5, -1): ((1,),)})
 
 
 # sha256 of every hom basis at n=4, as computed by the Fraction Gauss-Jordan
@@ -485,7 +523,7 @@ def modules_beyond_arc_modules():
     entries: kernels and cokernels of combined maps between direct sums, and
     a module with halves on its arrows; then the arc modules at n=3."""
     half = Fraction(1, 2)
-    halves = make_representation(
+    halves = Representation(
         3,
         (2, 2, 1),
         {
@@ -507,7 +545,7 @@ def modules_beyond_arc_modules():
             reps.extend(morphism_parts(combine_morphisms(basis, coeffs)))
     assert any(max(rep.dims) >= 2 for rep in reps)
     assert any(
-        x.denominator > 1 for rep in reps for m in rep.maps for row in m for x in row
+        x.denominator > 1 for rep in reps for _, m in rep.maps for row in m for x in row
     )
     return reps, modules
 
@@ -568,7 +606,7 @@ def test_hom_system_skips_no_equation(clear_caches):
     reps, modules = modules_beyond_arc_modules()
     pairs += itertools.product([*reps, *modules], repeat=2)
     # S_1 + S_1 at n=2: two dimensions at v_1 and every map zero
-    double = make_representation(2, (2, 0), {})
+    double = Representation(2, (2, 0), {})
     assert double.mapped == 0
     pairs.append((double, double))
     # S_1 + S_3 at n=3, with a hole at v_2, both ways against the arc module
