@@ -60,6 +60,6 @@ from .quotients import (
     is_right_arc,
     nad_ideal_filter,
 )
-from .strings import arrow_sequence, factorizations, graph_map_count, graph_maps
+from .strings import factorizations, graph_map_count, graph_maps
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -168,13 +168,13 @@ def _brick_classification(n: int) -> Iterator[Case]:
             yield f"{arc} + S_{v} is a brick", is_brick(_plus_simple(module, v)), False
 
 
-def _independent_morphisms(maps, n: int) -> bool:
-    """Each graph map, made concrete, is a morphism with a nonempty vertex
-    support, and the supports are pairwise disjoint, so the maps are
-    linearly independent."""
+def _independent_morphisms(alpha: Arc, beta: Arc, middles, n: int) -> bool:
+    """Each graph map from alpha to beta, made concrete from its middle, is
+    a morphism with a nonempty vertex support, and the supports are
+    pairwise disjoint, so the maps are linearly independent."""
     covered: set[int] = set()
-    for gm in maps:
-        f = materialize(gm, n)
+    for middle in middles:
+        f = materialize(alpha, beta, middle, n)
         support = {v for v, m in enumerate(f.mats, start=1) if not is_zero(m)}
         if not (f.is_valid() and support) or support & covered:
             return False
@@ -191,7 +191,7 @@ def _graph_maps_equal_linear_algebra(n: int) -> Iterator[Case]:
         for j, b in enumerate(arcs):
             label = f"{a}->{b} graph maps"
             yield f"{label} vs hom dimension", graph_map_count(a, b), homs[i][j]
-            independent = _independent_morphisms(graph_maps(a, b), n)
+            independent = _independent_morphisms(a, b, graph_maps(a, b), n)
             yield f"{label} are independent morphisms", independent, True
 
 

@@ -277,12 +277,11 @@ def _mutate_member(
 
 
 def collections_match(x: TwoTermCollection, y: TwoTermCollection) -> bool:
-    """Member-by-member equality up to isomorphism of the underlying modules."""
-    if len(x) != len(y):
-        return False
-    return all(
-        cx == cy and is_isomorphic(mx, my) for (mx, cx), (my, cy) in zip(x, y)
-    )
+    """Exact equality of the two collections: the same members in the same
+    order, each with the same shift and the same stored module.  A
+    ``Representation`` stores its nonzero maps in one canonical form, so a
+    member that is only isomorphic to its target does not match."""
+    return x == y
 
 
 HASSE_CAP = 6

@@ -68,8 +68,8 @@ def test_duplicated_graph_maps_fail_criterion_03(monkeypatch):
 def test_graph_maps_one_vertex_too_wide_fail_criterion_03(monkeypatch):
     # identity on every vertex both modules support: a commuting square
     # breaks wherever only one module carries an arrow
-    def too_wide(gm, n):
-        f = strings.materialize(gm, n)
+    def too_wide(alpha, beta, middle, n):
+        f = strings.materialize(alpha, beta, middle, n)
         mats = tuple(
             linalg.identity(1) if f.source.dim(v) == f.target.dim(v) == 1 else m
             for v, m in enumerate(f.mats, start=1)
@@ -214,7 +214,6 @@ def test_clear_caches_empties_every_package_cache(clear_caches):
         arcs.arc_to_join_irreducible,
         mutation._graph_map_out_masks,
         strings.factorizations,
-        strings._submodules_by_middle,
     )
     assert run_criterion(criterion("04"), max_n=1).passed
     assert run_criterion(criterion("08"), max_n=3).passed

@@ -335,9 +335,8 @@ def test_mutate_smc_matches_diagram_route():
 
 
 def test_module_route_returns_the_target_modules_exactly():
-    # equality, not collections_match's isomorphism: the module route must
-    # build the stored form of each target module, so a member carrying a
-    # zero map or rescaled entries fails here
+    # the module route must build the stored form of each target module,
+    # so a member carrying a zero map or rescaled entries fails here
     mutations = 0
     for w in all_permutations(5):
         diagram = double_diagram(w)
@@ -416,13 +415,16 @@ def test_collections_match_is_shift_sensitive():
     assert not collections_match(((s1, 0),), ((s1, 0), (s1, 1)))
 
 
-def test_collections_match_compares_modules_up_to_isomorphism():
+def test_collections_match_rejects_a_module_only_isomorphic_to_its_target():
     module = arc_module(Arc(1, 3), 2)
     rescaled = Representation(2, (1, 1), {(1, 1): ((Fraction(2),),)})
     other = arc_module(Arc(1, 3, frozenset({2})), 2)
     assert rescaled != module and other.dims == module.dims
-    assert collections_match(((module, 0),), ((rescaled, 0),))
+    assert is_isomorphic(rescaled, module)
+    assert not collections_match(((module, 0),), ((rescaled, 0),))
     assert not collections_match(((module, 0),), ((other, 0),))
+    rebuilt = Representation(2, (1, 1), {(1, 1): ((1,),)})
+    assert collections_match(((module, 0),), ((rebuilt, 0),))
 
 
 def test_hasse_sizes():
