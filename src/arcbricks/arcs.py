@@ -267,25 +267,24 @@ def nad_table(n: int) -> tuple[tuple[Arc, ...], tuple[int, ...]]:
 def iter_compatible_index_sets(masks: list[int], allowed: int | None = None):
     """Yield every subset (as an index tuple) of a pairwise-compatible family.
 
-    ``masks[j]`` is the bitmask of indices compatible with ``j``.  Pairwise
-    compatibility is hereditary, so depth-first extension by compatible
-    higher indices visits each subset exactly once, in lexicographic index
-    order.  ``allowed`` restricts the pool to a bitmask.
+    ``masks[j]`` is the bitmask of indices compatible with ``j``; only its
+    bits above ``j`` are read.  Compatibility is hereditary, so depth-first
+    extension by the remaining candidates, lowest first and each removed
+    once taken, visits each subset once, in lexicographic index order.
+    ``allowed`` restricts the pool to a bitmask.  The recursion is one level
+    deeper than the largest yielded set, so at most n+1 deep on the arcs of
+    1..n+1, where a diagram has at most n arcs.
     """
-    pool = (1 << len(masks)) - 1 if allowed is None else allowed
-    stack = [((), pool)]
-    while stack:
-        chosen, candidates = stack.pop()
+
+    def extend(chosen, candidates):
         yield chosen
-        pending = []
-        cand = candidates
-        while cand:
-            low = cand & -cand
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
             j = low.bit_length() - 1
-            cand ^= low
-            higher = ~((1 << (j + 1)) - 1)
-            pending.append((chosen + (j,), candidates & masks[j] & higher))
-        stack.extend(reversed(pending))
+            yield from extend(chosen + (j,), candidates & masks[j])
+
+    yield from extend((), (1 << len(masks)) - 1 if allowed is None else allowed)
 
 
 def enumerate_nad(n: int) -> list[frozenset[Arc]]:

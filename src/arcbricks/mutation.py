@@ -12,9 +12,10 @@ of ``s_i w``; that equality is the package's central cross-check, not an
 assumption of the implementation.  ``mutate_smc_collection`` is the
 independent module-level oracle: it mutates the image under ``psi`` using
 only hom/ext computations, extension middles glued along one arrow and
-kernel/cokernel constructions, never the half twist.  Each non-pivot member
-goes through ``_mutate_member``, which is ``@cache``d on
-``(module, shift, pivot)``: a member that recurs across collections is
+kernel/cokernel constructions, never the half twist; a glued middle stands
+only when the cokernel of its one map from the pivot equals the neighbor.
+Each non-pivot member goes through ``_mutate_member``, which is ``@cache``d
+on ``(module, shift, pivot)``: a member that recurs across collections is
 solved once, by the same route.
 """
 
@@ -39,7 +40,6 @@ from .quiver import (
     ext1_dim,
     hom_basis,
     hom_dim,
-    is_isomorphic,
     is_semibrick,
     morphism_parts,
 )
@@ -199,7 +199,7 @@ def _extension_middle(
     relations: each 2-cycle through the two joining vertices passes through
     the arrow from the pivot into the neighbor, which is zero.  The glue is
     checked: Hom(pivot, E) is one map, with zero kernel and with cokernel
-    the neighbor.
+    equal to the neighbor, stored form for stored form.
     """
     n = pivot.n
     dims = tuple(p + q for p, q in zip(pivot.dims, neighbor.dims))
@@ -214,7 +214,7 @@ def _extension_middle(
     basis = hom_basis(pivot, middle)
     if len(basis) == 1:
         kernel, cokernel = morphism_parts(basis[0])
-        if not any(kernel.dims) and is_isomorphic(cokernel, neighbor):
+        if not any(kernel.dims) and cokernel == neighbor:
             return middle
     raise MutationError("the glued module is not the extension middle")
 

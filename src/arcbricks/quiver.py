@@ -13,6 +13,9 @@ representations read off an arc: below an interior point means the direct
 arrow carries the identity, above means the inverse one does.
 
 ``Representation(n, dims, maps)`` is the one constructor and validator.
+It takes a nonnegative ``int`` rank, ``n`` nonnegative ``int`` dims and
+``int`` or ``Fraction`` entries; a ``bool`` is none of these, so ``True``
+never stands in for 1 in a stored module.
 ``maps`` names the nonzero maps, as a dict or ``(arrow, matrix)`` pairs;
 it is stored as the nonzero pairs in ``arrows(n)`` order, so equal modules
 have equal fields and hashes, and ``map(a)`` is zero on an arrow left out.
@@ -27,7 +30,7 @@ the kernel and cokernel of a morphism; their arrow maps are read off the
 canonical kernel bases of ``linalg.nullspace``, with no linear solve, on
 the arrows its source or target maps; a map is injective when its kernel
 is zero.  ``is_isomorphic`` returns ``True`` on equal representations
-first, so its callers make no equality test of their own.
+first; the package's own checks compare modules with ``==``.
 
 Five functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
 ``hom_basis``, ``hom_dim`` and ``ext1_dim`` on the pair of representations
@@ -106,6 +109,8 @@ class Representation:
     maps: tuple[tuple[Arrow, Matrix], ...]  # nonzero maps, in arrows(n) order
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"rank must be a nonnegative integer, got {self.n!r}")
         dims = tuple(self.dims)
         if len(dims) != self.n or any(type(d) is not int or d < 0 for d in dims):
             raise ValueError(f"dims must be {self.n} nonnegative integers, got {dims}")
@@ -122,6 +127,9 @@ class Representation:
             rows, cols = dims[arrow_target(a) - 1], dims[arrow_source(a) - 1]
             if len(m) != rows or any(len(row) != cols for row in m):
                 raise ValueError(f"matrix for {arrow_name(a)} is not {rows} x {cols}")
+            if any(type(x) not in (int, Fraction) for row in m for x in row):
+                name = arrow_name(a)
+                raise ValueError(f"matrix for {name} has an entry not int or Fraction")
             if not linalg.is_zero(m):
                 pairs.append((a, m))
         if named:

@@ -17,6 +17,7 @@ from arcbricks.arcs import (
     enumerate_arcs,
     enumerate_nad,
     is_crossing,
+    iter_compatible_index_sets,
     nad_table,
     restrict_green,
 )
@@ -28,7 +29,12 @@ from arcbricks.permutations import (
     parse_permutation,
 )
 from arcbricks.quiver import arc_module
-from arcbricks.quotients import FAMILIES, family_count, radical_square_ideal
+from arcbricks.quotients import (
+    FAMILIES,
+    arc_killed_by,
+    family_count,
+    radical_square_ideal,
+)
 
 from expected_diagrams import DAD_RANK2, DAD_RANK3, EXAMPLE_53271468, G, R
 
@@ -354,6 +360,88 @@ def test_enumerate_nad_counts():
     diagrams = enumerate_nad(3)
     assert len(set(diagrams)) == len(diagrams)
     assert all(check_nad(d) for d in diagrams)
+
+
+def reference_compatible_index_sets(masks, allowed=None):
+    """The explicit-stack walk: pop a set, yield it, and push its one-index
+    extensions by higher compatible candidates, lowest on top."""
+    pool = (1 << len(masks)) - 1 if allowed is None else allowed
+    stack = [((), pool)]
+    while stack:
+        chosen, candidates = stack.pop()
+        yield chosen
+        pending = []
+        cand = candidates
+        while cand:
+            low = cand & -cand
+            j = low.bit_length() - 1
+            cand ^= low
+            higher = ~((1 << (j + 1)) - 1)
+            pending.append((chosen + (j,), candidates & masks[j] & higher))
+        stack.extend(reversed(pending))
+
+
+def compatible_subsets(masks, allowed):
+    """Every pairwise-compatible subset of the pool, sorted."""
+    pool = [j for j in range(len(masks)) if allowed is None or allowed >> j & 1]
+    return sorted(
+        subset
+        for size in range(len(pool) + 1)
+        for subset in itertools.combinations(pool, size)
+        if all(masks[a] >> b & 1 for a, b in itertools.combinations(subset, 2))
+    )
+
+
+def family_pools(n):
+    """``allowed`` as each arc family passes it: none, then the ``FAMILIES``
+    masks and the radical-square ideal's."""
+    arcs, _ = nad_table(n)
+    ideal = radical_square_ideal(n)
+    keeps = [*FAMILIES.values(), lambda arc: arc_killed_by(arc, ideal, n)]
+    pools = [sum(1 << j for j, a in enumerate(arcs) if keep(a)) for keep in keeps]
+    return [None, *pools]
+
+
+def test_compatible_walk_matches_the_stack_walk():
+    for n in range(1, 7):
+        _, masks = nad_table(n)
+        for allowed in family_pools(n):
+            walk = list(iter_compatible_index_sets(masks, allowed))
+            assert walk == list(reference_compatible_index_sets(masks, allowed))
+
+
+def test_compatible_walk_lists_every_compatible_subset_in_order():
+    # a loop at j is a bit of masks[j] not above j, which the walk must not read
+    for n in range(1, 4):
+        _, masks = nad_table(n)
+        looped = [mask | 1 << j for j, mask in enumerate(masks)]
+        for allowed in family_pools(n):
+            expected = compatible_subsets(masks, allowed)
+            assert list(iter_compatible_index_sets(masks, allowed)) == expected
+            assert list(iter_compatible_index_sets(looped, allowed)) == expected
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Masks of a symmetric graph on at most 10 vertices, some with a loop,
+    which the walk must not read, and a pool that may leave vertices out."""
+    size = draw(st.integers(0, 10))
+    masks = [0] * size
+    for a, b in itertools.combinations_with_replacement(range(size), 2):
+        if draw(st.booleans()):
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    allowed = draw(st.none() | st.integers(0, (1 << size) - 1))
+    return masks, allowed
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_graphs())
+def test_compatible_walk_on_random_graphs(graph):
+    masks, allowed = graph
+    assert list(iter_compatible_index_sets(masks, allowed)) == compatible_subsets(
+        masks, allowed
+    )
 
 
 def test_enumerate_nad_matches_green_images():

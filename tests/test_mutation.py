@@ -408,6 +408,19 @@ def test_extension_middle_needs_a_zero_kernel(monkeypatch):
         _extension_middle(pivot, neighbor)
 
 
+def test_extension_middle_needs_the_cokernel_to_equal_the_neighbor(monkeypatch):
+    pivot, neighbor = arc_module(Arc(1, 2), 3), arc_module(Arc(2, 4), 3)
+    glued = arc_module(Arc(1, 4, frozenset({2})), 3)  # S_2 -> S_1 is nonzero
+    assert _extension_middle(pivot, neighbor) == glued
+    # a zero kernel and a cokernel only isomorphic to the neighbor
+    rescaled = Representation(3, (0, 1, 1), {(2, 1): ((Fraction(2),),)})
+    assert rescaled != neighbor and is_isomorphic(rescaled, neighbor)
+    zero = Representation(3, (0, 0, 0), {})
+    monkeypatch.setattr(mutation, "morphism_parts", lambda f: (zero, rescaled))
+    with pytest.raises(MutationError, match="not the extension middle"):
+        _extension_middle(pivot, neighbor)
+
+
 def test_collections_match_is_shift_sensitive():
     s1 = arc_module(Arc(1, 2), 2)  # the simple module at vertex 1
     assert collections_match(((s1, 0),), ((s1, 0),))

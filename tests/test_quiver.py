@@ -413,6 +413,29 @@ def test_dims_must_be_n_nonnegative_ints(dims):
         Representation(2, dims, {})
 
 
+@pytest.mark.parametrize("n, dims", [(True, (1,)), (2.0, (1, 1)), (-1, ())])
+def test_rank_must_be_a_nonnegative_int(n, dims):
+    # True passed as the n=1 module, and 2.0 raised TypeError from arrows
+    with pytest.raises(ValueError, match="rank must be a nonnegative integer"):
+        Representation(n, dims, {})
+
+
+def test_arc_module_never_caches_a_bool_rank(clear_caches):
+    # the cache key (arc, True) equals (arc, 1), so a module built with
+    # n=True would be returned for n=1 too
+    with pytest.raises(ValueError, match="rank must be a nonnegative integer"):
+        arc_module(Arc(1, 2), True)
+    assert type(arc_module(Arc(1, 2), 1).n) is int
+
+
+@pytest.mark.parametrize("x", [True, 1.5, 2.0, "x", None])
+def test_map_entries_must_be_ints_or_fractions(x):
+    # True matched arc_module(Arc(1, 3), 2) but printed "True" in to_json;
+    # the others passed until hom_dim raised AttributeError on them
+    with pytest.raises(ValueError, match="a1 has an entry not int or Fraction"):
+        Representation(2, (1, 1), {(1, 1): ((x,),)})
+
+
 def test_each_map_is_checked_once_given():
     one = linalg.identity(1)
     with pytest.raises(ValueError, match="matrix for a1 is not 1 x 2"):
