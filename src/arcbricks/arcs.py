@@ -4,13 +4,16 @@ An arc joins ``left < right`` and records, for every strictly interior
 point, whether it passes above or below; that data is a complete isotopy
 invariant.  An ``Arc`` computes its field hash once and keeps it, as
 ``quiver.Representation`` does, so every cache and dict keyed on arcs
-hashes a stored int per lookup.  A ``ColoredDiagram`` is the n-entry
+hashes a stored int per lookup; that hash, an arc's point masks and a
+diagram's entries are ``lazy.lazy_attribute``s, built on first read and
+kept on the instance.  A ``ColoredDiagram`` is the n-entry
 colored diagram D_w of a permutation w (green entry = descent, red =
 ascent), and w is all it stores: ``double_diagram(w)`` is that diagram,
 its entries are read off w on first use in one right-to-left pass over the
 word, and ``ColoredDiagram.from_entries`` is the one decoder of entries
 built elsewhere, accepting them exactly when they are D_w for the word
-their endpoint chain spells.  The crossing and diagram tests decide the
+their endpoint chain spells; that word goes through the validating
+``Permutation`` constructor.  The crossing and diagram tests decide the
 noncrossing conditions on arc sets:
 
   (nc1)  no two arcs cross at a non-endpoint,
@@ -21,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
+from .lazy import lazy_attribute
 from .permutations import (
     Permutation,
     identity_permutation,
@@ -48,7 +52,7 @@ class Arc:
             raise ValueError(f"above-points {set(self.above)} escape the open span")
         object.__setattr__(self, "above", frozenset(self.above))
 
-    @cached_property
+    @lazy_attribute
     def _hash(self) -> int:
         return hash((self.left, self.right, self.above))
 
@@ -61,7 +65,7 @@ class Arc:
     def interior(self) -> range:
         return range(self.left + 1, self.right)
 
-    @cached_property
+    @lazy_attribute
     def point_masks(self) -> tuple[int, int]:
         """(up, down): bit m set for each interior point m the arc passes
         above, respectively below; the endpoints are in neither."""
@@ -127,17 +131,18 @@ class ColoredDiagram:
     def n(self) -> int:
         return self.w.rank
 
-    @cached_property
+    @lazy_attribute
     def entries(self) -> tuple[tuple[Arc, str], ...]:
         """Entry i joins w_i and w_{i+1}; an interior value k passes below
         when it sits at a position left of the pair, above when right of it.
         Built on first read, in one right-to-left scan of the word that
         keeps the values right of the pair as one bitmask."""
         word = self.w.word
-        entries = [None] * self.n
+        n = len(word) - 1
+        entries = [None] * n
         later = 0  # bit k set for each value k right of the current pair
         b = word[-1]
-        for i in range(self.n - 1, -1, -1):
+        for i in range(n - 1, -1, -1):
             a = word[i]
             if a > b:
                 entries[i] = (_interned_arc(b, a, later & ((1 << a) - (2 << b))), GREEN)
@@ -230,6 +235,32 @@ def diagram_to_permutation(arcs, n: int) -> Permutation:
     for arc in arcs:
         w = join(w, arc_to_join_irreducible(arc, n))
     return w
+
+
+def joins_without_each(arcs, n: int) -> list[Permutation]:
+    """For each arc, in ``Arc.sort_key`` order, the join of the other arcs'
+    join-irreducibles.
+
+    Each is the join of a prefix and a suffix of the sorted
+    join-irreducibles, and every prefix and suffix join is taken once, so k
+    arcs cost about 3k joins, not k(k - 1).  Every subset of a noncrossing
+    diagram is one, so the arcs are not tested again; a caller checks the
+    whole set, as ``diagram_to_permutation`` does.
+    """
+    irreducibles = [
+        arc_to_join_irreducible(arc, n) for arc in sorted(arcs, key=Arc.sort_key)
+    ]
+    bottom = identity_permutation(n)
+    prefixes = [bottom]  # prefixes[i]: the join of the first i
+    for x in irreducibles[:-1]:
+        prefixes.append(join(prefixes[-1], x))
+    joins = [None] * len(irreducibles)
+    suffix = bottom  # the join of the irreducibles after position i
+    for i in reversed(range(len(irreducibles))):
+        joins[i] = join(prefixes[i], suffix)
+        if i:
+            suffix = join(irreducibles[i], suffix)
+    return joins
 
 
 ARC_ENUM_CAP = 8

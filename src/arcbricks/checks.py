@@ -28,6 +28,7 @@ from .arcs import (
     enumerate_nad,
     is_crossing,
     iter_compatible_index_sets,
+    joins_without_each,
     restrict_green,
 )
 from .mutation import (
@@ -291,12 +292,15 @@ def _order_criterion(n: int) -> Iterator[Case]:
 
 
 def _canonical_join_representations(n: int) -> Iterator[Case]:
-    """Green arcs are join-irreducible joinands of w, irredundantly."""
+    """Green arcs are join-irreducible joinands of w, irredundantly: the
+    join of all of them is w (``diagram_to_permutation``), and the join of
+    all but any one is strictly below w (``joins_without_each``, from
+    prefix and suffix joins)."""
     for w in all_permutations(n):
         greens = restrict_green(double_diagram(w))
         yield f"w={w} join of joinands", diagram_to_permutation(greens, n), w
-        for arc in sorted(greens, key=Arc.sort_key):
-            sub = diagram_to_permutation(greens - {arc}, n)
+        drops = joins_without_each(greens, n)
+        for arc, sub in zip(sorted(greens, key=Arc.sort_key), drops, strict=True):
             yield f"w={w} dropping {arc} is strict", sub != w and weak_leq(sub, w), True
 
 

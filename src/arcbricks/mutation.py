@@ -117,8 +117,9 @@ def mutate_dad(
 
 def psi(diagram: ColoredDiagram) -> TwoTermCollection:
     """Arc modules of the diagram: green members at shift 0, red at shift 1."""
+    n = diagram.n
     return tuple(
-        (arc_module(arc, diagram.n), 0 if color == GREEN else 1)
+        (arc_module(arc, n), 0 if color == GREEN else 1)
         for arc, color in diagram.entries
     )
 

@@ -13,6 +13,16 @@ bit ``b - 1`` set when ``(a, b)`` is an inversion: containment is
 input when the OR is its rows; otherwise it closes the OR and decodes the
 closed rows into a word from their popcounts, which are the word's
 inversion table, and checks the word's own rows against them once.
+
+``Permutation(word)`` is the one validating constructor: it sorts the word
+and scans its types, and every word from outside comes in through it
+(``parse_permutation``, the chained word of
+``arcs.ColoredDiagram.from_entries``, direct construction).  The words
+that are permutations by construction skip that check through the private
+``_trusted``: ``all_permutations`` (after checking n), ``identity_permutation``
+(likewise), ``left_multiply_simple`` (after its index check) and
+``_from_rows`` (which keeps its biclosure check).  ``inversion_rows`` is a
+``lazy.lazy_attribute``, built on first read and kept on the instance.
 """
 
 from __future__ import annotations
@@ -20,7 +30,8 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+
+from .lazy import lazy_attribute
 
 
 @dataclass(frozen=True)
@@ -37,7 +48,7 @@ class Permutation:
     def rank(self) -> int:
         return len(self.word) - 1
 
-    @cached_property
+    @lazy_attribute
     def inversion_rows(self) -> tuple[int, ...]:
         """Row a - 1 has bit b - 1 set when (a, b) is an inversion: the
         larger values seen before a in a left-to-right scan."""
@@ -68,17 +79,32 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(tuple(int(tok) for tok in tokens))
 
 
+def _trusted(word: tuple[int, ...]) -> Permutation:
+    """The permutation of a word that is one by construction, built without
+    ``Permutation``'s sort and type scan."""
+    w = object.__new__(Permutation)
+    object.__setattr__(w, "word", word)
+    return w
+
+
+def _check_rank(n) -> None:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"rank must be an integer >= 1, got {n!r}")
+
+
 def identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 2)))
+    _check_rank(n)
+    return _trusted(tuple(range(1, n + 2)))
 
 
 def all_permutations(n: int) -> list[Permutation]:
     """All of W_n in lexicographic word order."""
-    return [Permutation(word) for word in itertools.permutations(range(1, n + 2))]
+    _check_rank(n)
+    return list(map(_trusted, itertools.permutations(range(1, n + 2))))
 
 
 def weak_leq(u: Permutation, w: Permutation) -> bool:
-    if u.rank != w.rank:
+    if len(u.word) != len(w.word):
         raise ValueError("rank mismatch")
     return not any(x & ~y for x, y in zip(u.inversion_rows, w.inversion_rows))
 
@@ -94,7 +120,7 @@ def left_multiply_simple(i: int, w: Permutation) -> Permutation:
         raise ValueError(f"generator index {i} out of range 1..{w.rank}")
     word = list(w.word)
     word[i - 1], word[i] = word[i], word[i - 1]
-    return Permutation(tuple(word))
+    return _trusted(tuple(word))
 
 
 def _from_rows(rows: list[int]) -> Permutation:
@@ -110,7 +136,7 @@ def _from_rows(rows: list[int]) -> Permutation:
     word = []
     for v in range(len(rows), 0, -1):
         word.insert(rows[v - 1].bit_count(), v)
-    w = Permutation(tuple(word))
+    w = _trusted(tuple(word))
     if w.inversion_rows != tuple(rows):
         raise ValueError("inversion set is not biclosed")
     return w
@@ -126,7 +152,7 @@ def join(u: Permutation, w: Permutation) -> Permutation:
     closed rows are decoded by ``_from_rows``, whose check also fills the
     join's ``inversion_rows`` for the next join in a chain.
     """
-    if u.rank != w.rank:
+    if len(u.word) != len(w.word):
         raise ValueError("rank mismatch")
     u_rows, w_rows = u.inversion_rows, w.inversion_rows
     union = tuple(map(operator.or_, u_rows, w_rows))

@@ -32,9 +32,11 @@ the arrows its source or target maps; a map is injective when its kernel
 is zero.  ``is_isomorphic`` returns ``True`` on equal representations
 first; the package's own checks compare modules with ``==``.
 
-Five functions are ``@cache``d: ``arc_module`` on ``(arc, n)``,
-``hom_basis``, ``hom_dim`` and ``ext1_dim`` on the pair of representations
-and ``morphism_parts`` on the morphism.  ``hom_dim`` is the number of
+Five functions are cached: ``hom_basis``, ``hom_dim`` and ``ext1_dim`` on
+the pair of representations and ``morphism_parts`` on the morphism
+(``@cache``), and ``arc_module`` on ``(arc, n)``, in a typed cache, so a
+rank that is not an ``int`` is rejected, never answered for the equal
+``int``.  ``hom_dim`` is the number of
 unknowns minus the forward-pass rank of the system (rank-nullity,
 ``linalg.rank``), so it builds no ``Morphism``, keeps no basis and skips
 the back-reduction.  A ``Representation`` computes its hash once and keeps
@@ -44,7 +46,9 @@ per lookup.  It also builds, once and on first use, three arrow bitmasks
 respectively target, vertex in the support) and its arrow table, which
 holds per arrow the source and target indices, the nonzero entries of each
 column and the negated nonzero entries of each row.  So a module's
-matrices are scanned once, not once per pair it takes part in.
+matrices are scanned once, not once per pair it takes part in.  The hash,
+the masks, the table and the ``integral`` flag are ``lazy.lazy_attribute``s,
+kept on the instance after their first read.
 ``_hom_system`` reads the two tables only on the arrows of
 ``(source.mapped | target.mapped) & source.tails & target.heads``: an arrow
 from s to t has equations only for a nonzero target.dim(t) x source.dim(s)
@@ -56,12 +60,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, lru_cache
 from itertools import accumulate
 from operator import mul
 
 from . import linalg
 from .arcs import Arc
+from .lazy import lazy_attribute
 from .linalg import Matrix
 
 Arrow = tuple[int, int]  # (index i, sign +1/-1)
@@ -75,6 +80,12 @@ def _exact(x: Fraction) -> Fraction | int:
 
 def arrows(n: int) -> list[Arrow]:
     return [(i, sign) for i in range(1, n) for sign in (1, -1)]
+
+
+def _arrow_index(a: Arrow) -> int:
+    """The index of a quiver arrow in ``arrows(n)``, whatever n."""
+    i, sign = a
+    return 2 * i - 2 + (sign < 0)
 
 
 def arrow_source(a: Arrow) -> int:
@@ -138,7 +149,7 @@ class Representation:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maps", tuple(pairs))
 
-    @cached_property
+    @lazy_attribute
     def _hash(self) -> int:
         return hash((self.n, self.dims, self.maps))
 
@@ -147,30 +158,30 @@ class Representation:
         fields are frozen, so it cannot go stale."""
         return self._hash
 
-    @cached_property
+    @lazy_attribute
     def integral(self) -> bool:
         """Whether every map entry is an integer."""
         return all(x.denominator == 1 for _, m in self.maps for row in m for x in row)
 
-    @cached_property
+    @lazy_attribute
     def mapped(self) -> int:
         """Bitmask of the arrows with a nonzero map: bit j for arrow j of
         ``arrows(n)``."""
-        return sum(1 << (2 * i - 2 + (sign < 0)) for (i, sign), _ in self.maps)
+        return sum(1 << _arrow_index(a) for a, _ in self.maps)
 
-    @cached_property
+    @lazy_attribute
     def tails(self) -> int:
         """Bitmask of the arrows whose source vertex is in the support."""
         ends = map(arrow_source, arrows(self.n))
         return sum(1 << j for j, v in enumerate(ends) if self.dim(v))
 
-    @cached_property
+    @lazy_attribute
     def heads(self) -> int:
         """Bitmask of the arrows whose target vertex is in the support."""
         ends = map(arrow_target, arrows(self.n))
         return sum(1 << j for j, v in enumerate(ends) if self.dim(v))
 
-    @cached_property
+    @lazy_attribute
     def arrow_table(self) -> tuple[tuple[int, int, tuple, tuple], ...]:
         """Per arrow, indexed like ``arrows(n)``: the 0-based source and
         target vertices, each column's nonzero entries as ``(row, x)`` and
@@ -213,11 +224,16 @@ class Representation:
         }
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def arc_module(arc: Arc, n: int) -> Representation:
     """The string representation of an arc: support v_p .. v_{q-1}, identity
     on the direct arrow a_{m-1} under each below point m and on the inverse
-    arrow a_{m-1}^- under each above point."""
+    arrow a_{m-1}^- under each above point.
+
+    The cache is typed, so a ``bool`` or ``float`` rank never finds the
+    module of the equal ``int`` rank; it is rejected here instead."""
+    if type(n) is not int:
+        raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
     if arc.right > n + 1:
         raise ValueError(f"{arc} escapes the point range 1..{n + 1}")
     p, q = arc.left, arc.right
@@ -451,7 +467,9 @@ def is_semibrick(reps) -> bool:
 
 
 def path_action_is_zero(rep: Representation, path) -> bool:
-    """Whether a nonempty composable arrow path acts as zero."""
+    """Whether a nonempty composable arrow path acts as zero: at once when
+    one of its arrows has a zero map (read off ``rep.mapped``), otherwise by
+    multiplying the maps."""
     path = list(path)
     if not path:
         raise ValueError("need a nonempty path")
@@ -460,10 +478,13 @@ def path_action_is_zero(rep: Representation, path) -> bool:
             raise ValueError(
                 f"path not composable: {arrow_name(prev)} then {arrow_name(nxt)}"
             )
-    total = rep.map(path[0])
+    maps = [rep.map(a) for a in path]  # raises on an arrow outside the quiver
+    if any(not rep.mapped >> _arrow_index(a) & 1 for a in path):
+        return True
+    total = maps[0]
     current = arrow_source(path[0])
-    for a in path[1:]:
-        total = linalg.matmul(rep.map(a), total, rep.dim(current))
+    for a, m in zip(path[1:], maps[1:]):
+        total = linalg.matmul(m, total, rep.dim(current))
     return linalg.is_zero(total)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arcbricks.arcs as arcs
 from arcbricks.arcs import (
     Arc,
     ColoredDiagram,
@@ -18,6 +19,7 @@ from arcbricks.arcs import (
     enumerate_nad,
     is_crossing,
     iter_compatible_index_sets,
+    joins_without_each,
     nad_table,
     restrict_green,
 )
@@ -294,6 +296,27 @@ def test_double_diagram_builds_its_entries_once_and_only_when_read(clear_caches)
 
 def test_enumerate_arcs_returns_the_arcs_diagrams_use():
     assert double_diagram(P("2143")).arc(1) is enumerate_arcs(3)[0]
+
+
+def test_joins_without_each_drops_each_arc_in_sort_order():
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            greens = restrict_green(double_diagram(w))
+            ordered = sorted(greens, key=Arc.sort_key)
+            expected = [diagram_to_permutation(greens - {a}, n) for a in ordered]
+            assert joins_without_each(greens, n) == expected
+    assert joins_without_each([], 3) == []
+
+
+def test_joins_without_each_takes_about_three_joins_per_arc(monkeypatch):
+    calls = []
+    join = arcs.join
+    monkeypatch.setattr(arcs, "join", lambda u, w: calls.append(1) or join(u, w))
+    for w in all_permutations(5):
+        greens = restrict_green(double_diagram(w))
+        calls.clear()
+        joins_without_each(greens, 5)
+        assert len(calls) <= max(3 * len(greens) - 2, 0)
 
 
 def test_arc_to_join_irreducible_examples():

@@ -10,6 +10,7 @@ not repeated here.
 import pytest
 
 import arcbricks.checks as checks
+from arcbricks.arcs import diagram_to_permutation
 from arcbricks.checks import CRITERIA, run_criterion
 from arcbricks.permutations import identity_permutation
 
@@ -28,6 +29,10 @@ def returns(value):
 
 def identity_word(route):
     return lambda arcs, n: identity_permutation(n)
+
+
+def nothing_dropped(route):
+    return lambda arcs, n: [diagram_to_permutation(arcs, n)] * len(arcs)
 
 
 def edges_reversed(route):
@@ -56,6 +61,7 @@ FAULTS = [
     row("smc_leq", negated, {"08"}),
     row("collections_match", returns(False), {"07"}),
     row("diagram_to_permutation", identity_word, {"09"}),
+    row("joins_without_each", nothing_dropped, {"09"}),
     row("family_count", plus_one, {"10"}),
     row("arc_killed_by", negated, {"10"}),
     row("ext1_dim", plus_one, {"02"}),

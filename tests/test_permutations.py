@@ -118,6 +118,40 @@ def test_word_entries_must_be_ints(word):
         Permutation(word)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, True])
+def test_identity_and_all_permutations_need_an_int_rank_of_at_least_1(n):
+    # 2.0 raised TypeError from range, and True gave the words of rank 1
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+        identity_permutation(n)
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+        all_permutations(n)
+
+
+def assert_validated(w):
+    """w equals, hashes and reads like the permutation that the validating
+    constructor builds from w's word."""
+    v = Permutation(w.word)
+    assert type(w) is Permutation and type(w.word) is tuple
+    assert w == v and hash(w) == hash(v) and str(w) == str(v)
+    assert w.inversion_rows == v.inversion_rows
+
+
+def test_every_word_built_without_validation_is_a_permutation():
+    for n in range(1, 5):
+        words = all_permutations(n)
+        assert len(words) == len(set(words))
+        assert_validated(identity_permutation(n))
+        for w in words:
+            assert_validated(w)
+            for i in range(1, n + 1):
+                assert_validated(left_multiply_simple(i, w))
+        if n <= 3:
+            for u in words:
+                for w in words:
+                    assert_validated(join(u, w))
+    assert_validated(_from_rows([0b110, 0b100, 0]))
+
+
 def test_parse_and_str_round_trip():
     assert str(P("4312")) == "4312"
     big = Permutation(tuple([10] + list(range(1, 10))))

@@ -318,6 +318,21 @@ def test_path_action_examples():
         path_action_is_zero(rep, [(1, 1), (1, 1)])
 
 
+def test_a_path_through_a_zero_map_is_zero_without_a_product(monkeypatch):
+    rep = arc_module(Arc(1, 4), 3)  # maps on a1 and a2 only
+    monkeypatch.setattr(linalg, "matmul", None)
+    assert path_action_is_zero(rep, [(1, -1), (1, 1)])
+    assert path_action_is_zero(rep, [(1, 1), (2, 1), (2, -1)])
+
+
+def test_a_path_is_checked_before_its_zero_maps():
+    rep = arc_module(Arc(1, 3), 3)  # a2 carries zero
+    with pytest.raises(ValueError, match="not composable"):
+        path_action_is_zero(rep, [(2, 1), (1, 1)])
+    with pytest.raises(ValueError, match="outside the rank-3 quiver"):
+        path_action_is_zero(rep, [(2, 1), (3, 1)])
+
+
 def test_is_isomorphic():
     m = arc_module(A13U, 2)
     assert is_isomorphic(m, m)
@@ -418,6 +433,21 @@ def test_rank_must_be_a_nonnegative_int(n, dims):
     # True passed as the n=1 module, and 2.0 raised TypeError from arrows
     with pytest.raises(ValueError, match="rank must be a nonnegative integer"):
         Representation(n, dims, {})
+
+
+@pytest.mark.parametrize("bad, good", [(2.0, 2), (True, 1)])
+@pytest.mark.parametrize("good_first", [True, False])
+def test_arc_module_rejects_a_rank_that_is_not_an_int_in_either_order(
+    clear_caches, bad, good, good_first
+):
+    # (arc, 2.0) and (arc, True) are equal keys to (arc, 2) and (arc, 1), so
+    # an untyped cache answered them once the int rank was cached
+    arc = Arc(1, 2)
+    if good_first:
+        assert arc_module(arc, good).n == good
+    with pytest.raises(ValueError, match="rank must be a nonnegative integer"):
+        arc_module(arc, bad)
+    assert type(arc_module(arc, good).n) is int
 
 
 def test_arc_module_never_caches_a_bool_rank(clear_caches):
