@@ -2,9 +2,11 @@
 
 Subcommands: map, mutate, hasse, count, check, render.  Exit codes form a
 scriptable contract: 0 success, 2 usage error (argparse errors included),
-3 failed precondition (e.g. mutating against the pivot color), 4 size cap
-exceeded; check returns 1 when a suite fails.  All output is
-byte-deterministic for fixed flags.
+3 failed precondition (a position out of range, or a ``--dir`` that
+disagrees with the pivot's color, which alone fixes the direction of
+``mutation.mutate_dad``), 4 size cap exceeded; check returns 1 when a suite
+fails.  ``count --family custom --ideal`` passes the parsed ideal itself as
+the family.  All output is byte-deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import argparse
 import json
 import sys
 
-from .arcs import ARC_ENUM_CAP, double_diagram
+from .arcs import ARC_ENUM_CAP, GREEN, RED, double_diagram
 from .checks import SUITES, run_suite
-from .mutation import HASSE_CAP, MutationError, hasse_dot, hasse_json, mutate_dad, psi
+from .mutation import HASSE_CAP, hasse_dot, hasse_json, mutate_dad, psi
 from .permutations import Permutation, left_multiply_simple, parse_permutation
 from .quotients import FAMILIES, family_count, parse_ideal
 from .render import render_svg, render_tikz
@@ -92,10 +94,20 @@ def cmd_map(args) -> int:
 def cmd_mutate(args) -> int:
     w = _load_permutation(args)
     diagram = double_diagram(w)
+    # the range first: color(0) would read the last entry
+    if not 1 <= args.i <= args.n:
+        message = f"position {args.i} out of range 1..{args.n}"
+        raise CliError(EXIT_PRECONDITION, message)
+    # the pivot's color fixes the direction, so --dir is checked against it
+    needed = GREEN if args.dir == "left" else RED
+    if diagram.color(args.i) != needed:
+        raise CliError(
+            EXIT_PRECONDITION,
+            f"{args.dir} mutation needs {needed} at position {args.i}, "
+            f"found {diagram.color(args.i)}",
+        )
     try:
-        mutated = mutate_dad(diagram, args.i, args.dir)
-    except MutationError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+        mutated = mutate_dad(diagram, args.i)
     except ValueError:  # the half twists spelled no diagram D_w at all
         mutated = None
     moved = left_multiply_simple(args.i, w)
@@ -129,8 +141,8 @@ def cmd_count(args) -> int:
         raise CliError(EXIT_CAP, f"count cap is n <= {ARC_ENUM_CAP}")
     if args.ideal is not None and args.family != "custom":
         raise CliError(EXIT_USAGE, "--ideal needs --family custom")
-    ideal = None
-    if args.family == "custom":
+    family = args.family
+    if family == "custom":
         if not args.ideal:
             raise CliError(EXIT_USAGE, "custom family needs --ideal")
         try:
@@ -139,11 +151,11 @@ def cmd_count(args) -> int:
                 isinstance(t, str) for t in tokens
             ):
                 raise ValueError("need a JSON list of strings")
-            ideal = parse_ideal(tokens)
+            family = parse_ideal(tokens)
         except ValueError as exc:
             raise CliError(EXIT_USAGE, f"bad ideal: {exc}")
     try:
-        count = family_count(args.n, args.family, ideal)
+        count = family_count(args.n, family)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"bad ideal: {exc}")
     if args.format == "json":

@@ -7,9 +7,9 @@ interior side from the OR of the two arcs' above-point masks; it is built
 through the same interned constructor as every other arc.
 
 ``mutate_dad`` applies the half twist at a position of a colored diagram
-(left mutation pivots on green, right on red) and must land on the diagram
-of ``s_i w``; that equality is the package's central cross-check, not an
-assumption of the implementation.  ``mutate_smc_collection`` is the
+(a green pivot mutates left, a red one right, so the position fixes the
+direction) and must land on the diagram of ``s_i w``; that equality is the
+package's central cross-check, not an assumption of the implementation.  ``mutate_smc_collection`` is the
 independent module-level oracle: it mutates the image under ``psi`` using
 only hom/ext computations, extension middles glued along one arrow and
 kernel/cokernel constructions, never the half twist; a glued middle stands
@@ -50,7 +50,8 @@ TwoTermCollection = tuple[ShiftedModule, ...]
 
 
 class MutationError(ValueError):
-    """A mutation precondition failed (wrong color, bad position, bad shift)."""
+    """A mutation precondition failed (bad position, bad shift, or a glued
+    module that is not the extension middle)."""
 
 
 def half_twist(pivot: Arc, other: Arc, twist: str = "left") -> Arc:
@@ -82,26 +83,16 @@ def half_twist(pivot: Arc, other: Arc, twist: str = "left") -> Arc:
     return _interned_arc(left, right, up)
 
 
-def mutate_dad(
-    diagram: ColoredDiagram, i: int, direction: str | None = None
-) -> ColoredDiagram:
+def mutate_dad(diagram: ColoredDiagram, i: int) -> ColoredDiagram:
     """Mutate at position i: the pivot arc keeps its place and flips color,
     the neighbors are half-twisted around it and recolored by the new
-    adjacent comparisons.  Left requires green at i, right requires red."""
+    adjacent comparisons.  The pivot's color fixes the direction: a green
+    pivot mutates left and a red one right."""
     n = diagram.n
     if not 1 <= i <= n:
         raise MutationError(f"position {i} out of range 1..{n}")
     pivot_color = diagram.color(i)
-    inferred = "left" if pivot_color == GREEN else "right"
-    if direction is None:
-        direction = inferred
-    elif direction not in ("left", "right"):
-        raise MutationError(f"direction must be 'left' or 'right', got {direction!r}")
-    elif direction != inferred:
-        raise MutationError(
-            f"{direction} mutation needs {'green' if direction == 'left' else 'red'} "
-            f"at position {i}, found {pivot_color}"
-        )
+    direction = "left" if pivot_color == GREEN else "right"
     w = diagram.w
     pivot = diagram.arc(i)
     entries = list(diagram.entries)
@@ -124,11 +115,12 @@ def psi(diagram: ColoredDiagram) -> TwoTermCollection:
     )
 
 
-def smc_axiom_check(members: TwoTermCollection, n: int) -> bool:
+def smc_axiom_check(members: TwoTermCollection) -> bool:
     """The collection axioms for a semibrick pair (Asai, "Semibricks", IMRN
     2020, arXiv:1610.05860), with the basis proxy for generation.
 
-    The n members are modules of rank n at shift 0 (tops) or 1 (bottoms).
+    The members fix the rank n: they are n modules of one rank n, at shift 0
+    (tops) or 1 (bottoms); an empty collection has no rank and fails.
     sm1, sm2: tops and bottoms are each a semibrick.  sm3: every top X and
     bottom Y have Hom(X, Y[1][k]) = 0 for k = -1, 0 (Koenig-Yang), that is
     Hom(X, Y) = Ext^1(X, Y) = 0; such a Hom from a bottom to a top is
@@ -137,9 +129,10 @@ def smc_axiom_check(members: TwoTermCollection, n: int) -> bool:
     a Z-basis of Z^n.  The proxy is necessary, not known to be sufficient.
     """
     members = tuple(members)
+    n = len(members)
     tops = [m for m, shift in members if shift == 0]
     bottoms = [m for m, shift in members if shift == 1]
-    if len(members) != n or len(tops) + len(bottoms) != n:
+    if not members or len(tops) + len(bottoms) != n:
         return False
     if any(m.n != n for m, _ in members):
         return False
@@ -211,7 +204,7 @@ def _extension_middle(
     ):
         raise MutationError(f"{pivot.dims} and {neighbor.dims} do not tile an interval")
     glue = ((v - 1, -1 if pivot.dim(v - 1) else 1), identity(1))
-    middle = Representation(n, dims, (*pivot.maps, *neighbor.maps, glue))
+    middle = Representation(dims, (*pivot.maps, *neighbor.maps, glue))
     basis = hom_basis(pivot, middle)
     if len(basis) == 1:
         kernel, cokernel = morphism_parts(basis[0])
@@ -303,7 +296,7 @@ def hasse(n: int):
     for k, diagram in enumerate(diagrams):
         for i in range(1, n + 1):
             if diagram.color(i) == GREEN:
-                target = mutate_dad(diagram, i, "left")
+                target = mutate_dad(diagram, i)
                 edges.append((k, index[target.w.word], i))
     return diagrams, edges
 

@@ -39,10 +39,12 @@ class Permutation:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        n1 = len(self.word)
-        ints = {*map(type, self.word)} == {int}  # no bool, float or str entry
-        if n1 < 2 or not ints or sorted(self.word) != list(range(1, n1 + 1)):
-            raise ValueError(f"not a permutation of 1..{n1}: {self.word!r}")
+        word = tuple(self.word)
+        n1 = len(word)
+        ints = {*map(type, word)} == {int}  # no bool, float or str entry
+        if n1 < 2 or not ints or sorted(word) != list(range(1, n1 + 1)):
+            raise ValueError(f"not a permutation of 1..{n1}: {word!r}")
+        object.__setattr__(self, "word", word)
 
     @property
     def rank(self) -> int:

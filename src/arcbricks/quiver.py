@@ -12,13 +12,14 @@ holds at every vertex.  Arc modules are the 0/1-dimensional string
 representations read off an arc: below an interior point means the direct
 arrow carries the identity, above means the inverse one does.
 
-``Representation(n, dims, maps)`` is the one constructor and validator.
-It takes a nonnegative ``int`` rank, ``n`` nonnegative ``int`` dims and
-``int`` or ``Fraction`` entries; a ``bool`` is none of these, so ``True``
-never stands in for 1 in a stored module.
+``Representation(dims, maps)`` is the one constructor and validator.
+The dims fix the rank: ``n`` is ``len(dims)``, a property, not a field.
+It takes nonnegative ``int`` dims and ``int`` or ``Fraction`` entries; a
+``bool`` is neither, so ``True`` never stands in for 1 in a stored module.
 ``maps`` names the nonzero maps, as a dict or ``(arrow, matrix)`` pairs;
 it is stored as the nonzero pairs in ``arrows(n)`` order, so equal modules
 have equal fields and hashes, and ``map(a)`` is zero on an arrow left out.
+A ``Morphism`` stores its vertex matrices as tuples, whatever it is given.
 
 Hom spaces are computed from the commuting-square equations, which
 ``_hom_system`` assembles as sparse integer rows.  It is the one place
@@ -115,16 +116,14 @@ def parse_arrow(name: str) -> Arrow:
 
 @dataclass(frozen=True)
 class Representation:
-    n: int
     dims: tuple[int, ...]
     maps: tuple[tuple[Arrow, Matrix], ...]  # nonzero maps, in arrows(n) order
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 0:
-            raise ValueError(f"rank must be a nonnegative integer, got {self.n!r}")
         dims = tuple(self.dims)
-        if len(dims) != self.n or any(type(d) is not int or d < 0 for d in dims):
-            raise ValueError(f"dims must be {self.n} nonnegative integers, got {dims}")
+        if any(type(d) is not int or d < 0 for d in dims):
+            raise ValueError(f"dims must be nonnegative integers, got {dims}")
+        object.__setattr__(self, "dims", dims)
         given = tuple(self.maps.items() if isinstance(self.maps, dict) else self.maps)
         named = dict(given)
         if len(named) != len(given):
@@ -146,12 +145,16 @@ class Representation:
         if named:
             names = ", ".join(sorted(map(arrow_name, named)))
             raise ValueError(f"arrows {names} outside the rank-{self.n} quiver")
-        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maps", tuple(pairs))
+
+    @property
+    def n(self) -> int:
+        """The rank: one vertex per dimension."""
+        return len(self.dims)
 
     @lazy_attribute
     def _hash(self) -> int:
-        return hash((self.n, self.dims, self.maps))
+        return hash((self.dims, self.maps))
 
     def __hash__(self) -> int:
         """The dataclass field hash, computed on first use and kept; the
@@ -242,7 +245,7 @@ def arc_module(arc: Arc, n: int) -> Representation:
     for m in arc.interior:
         sign = 1 if m not in arc.above else -1
         named[(m - 1, sign)] = linalg.identity(1)
-    return Representation(n, dims, named)
+    return Representation(dims, named)
 
 
 def check_relations(rep: Representation) -> bool:
@@ -269,6 +272,10 @@ class Morphism:
     source: Representation
     target: Representation
     mats: tuple[Matrix, ...]  # one per vertex
+
+    def __post_init__(self):
+        mats = tuple(tuple(map(tuple, m)) for m in self.mats)
+        object.__setattr__(self, "mats", mats)
 
     def mat(self, v: int) -> Matrix:
         return self.mats[v - 1]
@@ -422,8 +429,8 @@ def morphism_parts(f: Morphism) -> tuple[Representation, Representation]:
         cok_maps[a] = tuple(
             tuple(_dot(c, [row[q] for row in mt]) for q in cok_free[s]) for c in cok[t]
         )
-    kernel = Representation(n, [len(basis) for basis in ker], ker_maps)
-    cokernel = Representation(n, [len(basis) for basis in cok], cok_maps)
+    kernel = Representation([len(basis) for basis in ker], ker_maps)
+    cokernel = Representation([len(basis) for basis in cok], cok_maps)
     return kernel, cokernel
 
 

@@ -2,11 +2,14 @@
 
 A monomial ideal is specified by composable arrow paths; a diagram survives
 the filter when every generator acts as zero on every one of its arc
-modules.  Three families have closed combinatorial descriptions that the
-test suite pins against the path filters: all diagrams (the two-cycle
-ideal changes nothing), right diagrams (inverse arrows killed: every
-interior side below), and alternating diagrams (radical square: interior
-sides constant on each parity class and opposite between them).
+modules.  ``family_count(n, family)`` counts a closed family, named in
+``FAMILIES``, or the family that a ``MonomialIdealSpec`` cuts out, so an
+ideal needs no name beside it.  Three families have closed combinatorial
+descriptions that the test suite pins against the path filters: all
+diagrams (the two-cycle ideal changes nothing), right diagrams (inverse
+arrows killed: every interior side below), and alternating diagrams
+(radical square: interior sides constant on each parity class and opposite
+between them).
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ class MonomialIdealSpec:
     generators: tuple[Path, ...]
 
     def __post_init__(self):
-        for path in self.generators:
+        generators = tuple(tuple(map(tuple, path)) for path in self.generators)
+        object.__setattr__(self, "generators", generators)
+        for path in generators:
             if not path:
                 raise ValueError("ideal generators must be nonempty paths")
             for prev, nxt in zip(path, path[1:]):
@@ -93,14 +98,14 @@ FAMILIES = {"nad": lambda arc: True, "rnad": is_right_arc, "anad": is_alternatin
 
 
 def _family_index_sets(
-    n: int, family: str, ideal: MonomialIdealSpec | None
+    n: int, family: str | MonomialIdealSpec
 ) -> tuple[tuple[Arc, ...], Iterator[tuple[int, ...]]]:
-    """The arcs of ``nad_table(n)`` and the family's diagrams as index tuples."""
+    """The arcs of ``nad_table(n)`` and the family's diagrams as index tuples:
+    a closed family named in ``FAMILIES``, or the diagrams whose arc modules
+    an ideal kills."""
     arcs, masks = nad_table(n)
-    if family == "custom":
-        if ideal is None:
-            raise ValueError("custom family needs an ideal")
-        keep = lambda arc: arc_killed_by(arc, ideal, n)
+    if isinstance(family, MonomialIdealSpec):
+        keep = lambda arc: arc_killed_by(arc, family, n)
     elif family in FAMILIES:
         keep = FAMILIES[family]
     else:
@@ -111,10 +116,12 @@ def _family_index_sets(
 
 def nad_ideal_filter(n: int, spec: MonomialIdealSpec) -> list[frozenset[Arc]]:
     """All noncrossing diagrams whose arc modules the ideal annihilates."""
-    arcs, index_sets = _family_index_sets(n, "custom", spec)
+    arcs, index_sets = _family_index_sets(n, spec)
     return [frozenset(arcs[j] for j in idx) for idx in index_sets]
 
 
-def family_count(n: int, family: str, ideal: MonomialIdealSpec | None = None) -> int:
-    _, index_sets = _family_index_sets(n, family, ideal)
+def family_count(n: int, family: str | MonomialIdealSpec) -> int:
+    """The size of a closed family (``FAMILIES``) or of the family an ideal
+    cuts out."""
+    _, index_sets = _family_index_sets(n, family)
     return sum(1 for _ in index_sets)

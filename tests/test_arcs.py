@@ -162,7 +162,7 @@ def test_nad_table_is_built_once_per_n(clear_caches):
     assert len(enumerate_nad(5)) == math.factorial(6)
     for family in FAMILIES:
         family_count(5, family)
-    family_count(5, "custom", radical_square_ideal(5))
+    family_count(5, radical_square_ideal(5))
     info = nad_table.cache_info()
     assert (info.misses, info.hits) == (1, len(FAMILIES) + 1)
 

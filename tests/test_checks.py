@@ -90,7 +90,7 @@ def test_a_module_off_the_mesh_relations_fails_criterion_02(clear_caches, monkey
         if (arc.left, arc.right) != (1, 3):
             return module
         one = linalg.identity(1)
-        return quiver.Representation(n, module.dims, {(1, 1): one, (1, -1): one})
+        return quiver.Representation(module.dims, {(1, 1): one, (1, -1): one})
 
     monkeypatch.setattr(checks, "arc_module", doubled)
     result = run_criterion(criterion("02"), max_n=2)
@@ -147,7 +147,7 @@ def test_wrong_graph_map_count_fails_criterion_08_after_a_warm_run(monkeypatch):
 
 
 def test_identity_mutation_fails_criterion_06(monkeypatch):
-    monkeypatch.setattr(checks, "mutate_dad", lambda diagram, i, direction: diagram)
+    monkeypatch.setattr(checks, "mutate_dad", lambda diagram, i: diagram)
     result = run_criterion(criterion("06"), max_n=3)
     assert not result.passed
     assert result.counterexample.startswith("n=3 w=1234 i=1 (right): got ")

@@ -94,7 +94,25 @@ def test_mutate_color_mismatch_exit(capsys):
         capsys, "mutate", "--n", "3", "--perm", "1234", "--i", "1", "--dir", "left"
     )
     assert code == 3
-    assert "green" in err
+    assert err == "error: left mutation needs green at position 1, found red\n"
+
+
+def test_mutate_right_at_a_green_position_exits_3(capsys):
+    code, out, err = run(
+        capsys, "mutate", "--n", "3", "--perm", "4321", "--i", "1", "--dir", "right"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: right mutation needs red at position 1, found green\n"
+
+
+@pytest.mark.parametrize("i", ["0", "-1", "4"])
+def test_mutate_position_out_of_range_exits_3(capsys, i):
+    # checked before the color: position 0 would read the last entry's
+    code, out, err = run(
+        capsys, "mutate", "--n", "3", "--perm", "1234", "--i", i, "--dir", "left"
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: position {i} out of range 1..3\n"
 
 
 def test_mutate_exits_3_when_the_half_twists_spell_no_diagram(monkeypatch, capsys):
@@ -222,6 +240,7 @@ def test_an_empty_out_path_is_a_usage_error(capsys):
         ("map --n 2 --perm 321 --out /nonexistent/x", "cannot write /nonexistent/x"),
         ("check --max-n 0", "need n >= 1"),
         ("check --max-n -2", "need n >= 1"),
+        ("mutate --n 2 --perm 321 --i 1 --dir sideways", "invalid choice: 'sideways'"),
     ],
 )
 def test_bad_arguments_are_usage_errors(capsys, argv, message):

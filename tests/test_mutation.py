@@ -127,25 +127,22 @@ def test_half_twist_matches_the_per_point_rule_and_returns_the_shared_arc():
 
 
 def test_mutate_dad_figure_steps():
-    assert mutate_dad(D("4321"), 3, "left") == D("4312")
-    assert mutate_dad(D("4321"), 1, "left") == D("3421")
-    assert mutate_dad(D("321"), 2, "left") == D("312")
+    assert mutate_dad(D("4321"), 3) == D("4312")
+    assert mutate_dad(D("4321"), 1) == D("3421")
+    assert mutate_dad(D("321"), 2) == D("312")
 
 
 def test_mutate_dad_preconditions():
-    with pytest.raises(MutationError):
-        mutate_dad(D("1234"), 1, "left")  # red pivot
-    with pytest.raises(MutationError):
-        mutate_dad(D("4321"), 1, "right")  # green pivot
-    with pytest.raises(MutationError):
-        mutate_dad(D("321"), 3, "left")  # out of range
-    with pytest.raises(MutationError):
-        mutate_dad(D("321"), 1, "sideways")
+    # only the position can be wrong: the pivot's color fixes the direction
+    for i in (0, -1, 3):
+        with pytest.raises(MutationError, match=f"position {i} out of range 1..2"):
+            mutate_dad(D("321"), i)
 
 
 def test_mutate_dad_direction_inferred():
-    assert mutate_dad(D("4321"), 2) == mutate_dad(D("4321"), 2, "left")
-    assert mutate_dad(D("1234"), 2) == mutate_dad(D("1234"), 2, "right")
+    # a green pivot mutates left, down the weak order; a red one right, up it
+    assert mutate_dad(D("4321"), 2) == D("4231")
+    assert mutate_dad(D("1234"), 2) == D("1324")
 
 
 def test_mutation_involution():
@@ -196,27 +193,28 @@ def test_psi_shift_zero_part_is_green():
 def test_smc_axiom_check():
     for n in (2, 3):
         for w in all_permutations(n):
-            assert smc_axiom_check(psi(double_diagram(w)), n)
+            assert smc_axiom_check(psi(double_diagram(w)))
     s1 = arc_module(Arc(1, 2), 2)  # the simple module at vertex 1
-    assert not smc_axiom_check(((s1, 0), (s1, 1)), 2)
-    assert not smc_axiom_check(
-        ((s1, 0), (arc_module(Arc(1, 3), 2), 0)), 2
-    )
-    assert not smc_axiom_check(((s1, 0),), 2)  # wrong size
+    assert not smc_axiom_check(((s1, 0), (s1, 1)))
+    assert not smc_axiom_check(((s1, 0), (arc_module(Arc(1, 3), 2), 0)))
+    assert not smc_axiom_check(((s1, 0),))  # wrong size
     # Hom(S1, S2) = 0 but Ext^1(S1, S2) = 1: S1 and S2[1] fail the degree-0
     # condition of a simple-minded collection.
     s2 = arc_module(Arc(2, 3), 2)
-    assert not smc_axiom_check(((arc_module(Arc(1, 2), 2), 0), (s2, 1)), 2)
+    assert not smc_axiom_check(((arc_module(Arc(1, 2), 2), 0), (s2, 1)))
     # only shifts 0 and 1 belong to a 2-term collection
     members = psi(D("132"))
     for moved in ({1: 2}, {0: -1}):
         shifted = tuple((m, moved.get(c, c)) for m, c in members)
-        assert not smc_axiom_check(shifted, 2)
-    assert not smc_axiom_check(members + ((members[0][0], 2),), 2)
-    # members must be modules of rank n
+        assert not smc_axiom_check(shifted)
+    assert not smc_axiom_check(members + ((members[0][0], 2),))
+    # the members fix the rank: as many members as their one rank
+    assert not smc_axiom_check(())
     for arc in (Arc(1, 2), Arc(2, 3)):
         for shift in (0, 1):
-            assert not smc_axiom_check(((arc_module(arc, 2), shift),), 1)
+            assert not smc_axiom_check(((arc_module(arc, 2), shift),))  # rank 2
+    mixed = ((arc_module(Arc(1, 2), 1), 0), (arc_module(Arc(2, 3), 2), 1))
+    assert not smc_axiom_check(mixed)
 
 
 def test_smc_axiom_check_sm4_proxy_needs_a_unimodular_matrix(monkeypatch):
@@ -227,11 +225,11 @@ def test_smc_axiom_check_sm4_proxy_needs_a_unimodular_matrix(monkeypatch):
     monkeypatch.setattr(mutation, "ext1_dim", lambda x, y: 0)
 
     def collection(*dims):
-        return tuple((Representation(3, d, {}), 0) for d in dims)
+        return tuple((Representation(d, {}), 0) for d in dims)
 
-    assert not smc_axiom_check(collection((1, 1, 0), (0, 1, 1), (1, 1, 0)), 3)
-    assert not smc_axiom_check(collection((1, 1, 0), (0, 1, 1), (1, 0, 1)), 3)
-    assert smc_axiom_check(collection((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
+    assert not smc_axiom_check(collection((1, 1, 0), (0, 1, 1), (1, 1, 0)))
+    assert not smc_axiom_check(collection((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+    assert smc_axiom_check(collection((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def reference_sm4(members, n):
@@ -258,8 +256,8 @@ def test_smc_axiom_check_sm4_matches_the_rational_inverse(monkeypatch):
         members = []
         for _ in range(n):
             dims = tuple(rng.randint(0, 2) for _ in range(n))
-            members.append((Representation(n, dims, {}), rng.randint(0, 1)))
-        got = smc_axiom_check(members, n)
+            members.append((Representation(dims, {}), rng.randint(0, 1)))
+        got = smc_axiom_check(members)
         assert got == reference_sm4(members, n), members
         outcomes.append(got)
     assert set(outcomes) == {False, True}
@@ -271,7 +269,7 @@ def test_smc_axiom_check_accepts_exactly_the_images_of_psi(n, count):
     accepted = {
         frozenset(members)
         for members in itertools.combinations(shifted, n)
-        if smc_axiom_check(members, n)
+        if smc_axiom_check(members)
     }
     images = {frozenset(psi(double_diagram(w))) for w in all_permutations(n)}
     assert len(images) == count
@@ -413,9 +411,9 @@ def test_extension_middle_needs_the_cokernel_to_equal_the_neighbor(monkeypatch):
     glued = arc_module(Arc(1, 4, frozenset({2})), 3)  # S_2 -> S_1 is nonzero
     assert _extension_middle(pivot, neighbor) == glued
     # a zero kernel and a cokernel only isomorphic to the neighbor
-    rescaled = Representation(3, (0, 1, 1), {(2, 1): ((Fraction(2),),)})
+    rescaled = Representation((0, 1, 1), {(2, 1): ((Fraction(2),),)})
     assert rescaled != neighbor and is_isomorphic(rescaled, neighbor)
-    zero = Representation(3, (0, 0, 0), {})
+    zero = Representation((0, 0, 0), {})
     monkeypatch.setattr(mutation, "morphism_parts", lambda f: (zero, rescaled))
     with pytest.raises(MutationError, match="not the extension middle"):
         _extension_middle(pivot, neighbor)
@@ -430,13 +428,13 @@ def test_collections_match_is_shift_sensitive():
 
 def test_collections_match_rejects_a_module_only_isomorphic_to_its_target():
     module = arc_module(Arc(1, 3), 2)
-    rescaled = Representation(2, (1, 1), {(1, 1): ((Fraction(2),),)})
+    rescaled = Representation((1, 1), {(1, 1): ((Fraction(2),),)})
     other = arc_module(Arc(1, 3, frozenset({2})), 2)
     assert rescaled != module and other.dims == module.dims
     assert is_isomorphic(rescaled, module)
     assert not collections_match(((module, 0),), ((rescaled, 0),))
     assert not collections_match(((module, 0),), ((other, 0),))
-    rebuilt = Representation(2, (1, 1), {(1, 1): ((1,),)})
+    rebuilt = Representation((1, 1), {(1, 1): ((1,),)})
     assert collections_match(((module, 0),), ((rebuilt, 0),))
 
 

@@ -118,6 +118,15 @@ def test_word_entries_must_be_ints(word):
         Permutation(word)
 
 
+@pytest.mark.parametrize("word", [[2, 3, 1], iter((2, 3, 1)), (v for v in (2, 3, 1))])
+def test_a_word_is_stored_as_a_tuple(word):
+    # a list word used to be stored as given: unhashable, and unequal to
+    # the permutation of the same tuple
+    w, v = Permutation(word), Permutation((2, 3, 1))
+    assert type(w.word) is tuple
+    assert w == v and hash(w) == hash(v) and {v: "v"}[w] == "v"
+
+
 @pytest.mark.parametrize("n", [0, -1, 2.0, True])
 def test_identity_and_all_permutations_need_an_int_rank_of_at_least_1(n):
     # 2.0 raised TypeError from range, and True gave the words of rank 1
