@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .lazy import lazy_attribute
 from .permutations import (
     Permutation,
+    check_rank,
     identity_permutation,
     join,
 )
@@ -172,9 +173,17 @@ class ColoredDiagram:
         return diagram
 
     def arc(self, i: int) -> Arc:
+        """The arc at position i in 1..n; any other position raises
+        ``IndexError``."""
+        if i < 1:
+            raise IndexError(f"position {i} out of range 1..{self.n}")
         return self.entries[i - 1][0]
 
     def color(self, i: int) -> str:
+        """The color at position i in 1..n; any other position raises
+        ``IndexError``."""
+        if i < 1:
+            raise IndexError(f"position {i} out of range 1..{self.n}")
         return self.entries[i - 1][1]
 
     def green_arcs(self) -> list[Arc]:
@@ -269,8 +278,7 @@ ARC_ENUM_CAP = 8
 def enumerate_arcs(n: int) -> list[Arc]:
     """All arcs on 1..n+1, ordered by (left, right, side bitmask); they are
     the shared objects that diagrams use."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_rank(n)
     if n > ARC_ENUM_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {ARC_ENUM_CAP}")
     return [
@@ -281,11 +289,13 @@ def enumerate_arcs(n: int) -> list[Arc]:
     ]
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def nad_table(n: int) -> tuple[tuple[Arc, ...], tuple[int, ...]]:
     """The arcs on 1..n+1 and, per arc, the bitmask of the arcs it can share
     a noncrossing diagram with: the compatibility graph whose cliques are
-    the noncrossing diagrams.  Built once per n."""
+    the noncrossing diagrams.  Built once per n, in a typed cache, so a
+    ``bool`` or ``float`` rank reaches ``enumerate_arcs``'s check instead of
+    the table of the equal ``int``."""
     arcs = tuple(enumerate_arcs(n))
     masks = [0] * len(arcs)
     for (i, a), (j, b) in itertools.combinations(enumerate(arcs), 2):

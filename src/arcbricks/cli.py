@@ -94,7 +94,7 @@ def cmd_map(args) -> int:
 def cmd_mutate(args) -> int:
     w = _load_permutation(args)
     diagram = double_diagram(w)
-    # the range first: color(0) would read the last entry
+    # the range first, so that a bad position exits 3 naming the range
     if not 1 <= args.i <= args.n:
         message = f"position {args.i} out of range 1..{args.n}"
         raise CliError(EXIT_PRECONDITION, message)

@@ -19,10 +19,13 @@ and scans its types, and every word from outside comes in through it
 (``parse_permutation``, the chained word of
 ``arcs.ColoredDiagram.from_entries``, direct construction).  The words
 that are permutations by construction skip that check through the private
-``_trusted``: ``all_permutations`` (after checking n), ``identity_permutation``
-(likewise), ``left_multiply_simple`` (after its index check) and
-``_from_rows`` (which keeps its biclosure check).  ``inversion_rows`` is a
-``lazy.lazy_attribute``, built on first read and kept on the instance.
+``_trusted``: ``all_permutations`` and ``identity_permutation`` (after
+``check_rank``, which ``arcs.enumerate_arcs`` also calls),
+``left_multiply_simple`` (after its index check) and ``_from_rows`` (which
+keeps its biclosure check).  ``w[i]`` is 1-based and refuses a position
+outside 1..n+1, and a permutation is not iterable: read ``w.word``.
+``inversion_rows`` is a ``lazy.lazy_attribute``, built on first read and
+kept on the instance.
 """
 
 from __future__ import annotations
@@ -62,8 +65,15 @@ class Permutation:
         return tuple(rows)
 
     def __getitem__(self, i: int) -> int:
-        """1-based entry access: w[i] = w_i."""
+        """1-based entry access: w[i] = w_i, for i in 1..n+1; position 0 and
+        negative positions raise ``IndexError``, as positions past n+1 do."""
+        if i < 1:
+            raise IndexError(f"position {i} out of range 1..{len(self.word)}")
         return self.word[i - 1]
+
+    # not iterable: iteration would fall back on __getitem__ from position
+    # 0, so ``iter(w)`` and ``v in w`` raise TypeError; read ``w.word``
+    __iter__ = None
 
     def __str__(self) -> str:
         if len(self.word) <= 9:
@@ -89,19 +99,20 @@ def _trusted(word: tuple[int, ...]) -> Permutation:
     return w
 
 
-def _check_rank(n) -> None:
+def check_rank(n) -> None:
+    """Reject a rank that is not an ``int`` >= 1; a ``bool`` is not one."""
     if type(n) is not int or n < 1:
         raise ValueError(f"rank must be an integer >= 1, got {n!r}")
 
 
 def identity_permutation(n: int) -> Permutation:
-    _check_rank(n)
+    check_rank(n)
     return _trusted(tuple(range(1, n + 2)))
 
 
 def all_permutations(n: int) -> list[Permutation]:
     """All of W_n in lexicographic word order."""
-    _check_rank(n)
+    check_rank(n)
     return list(map(_trusted, itertools.permutations(range(1, n + 2))))
 
 

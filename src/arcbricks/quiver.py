@@ -3,8 +3,11 @@
 Vertices are ``v_1 .. v_n``; for each ``1 <= i <= n-1`` there is a direct
 arrow ``a_i : v_i -> v_{i+1}`` and an inverse arrow ``a_i^- : v_{i+1} -> v_i``.
 An arrow is the pair ``(i, sign)`` with sign ``+1`` (direct) or ``-1``
-(inverse); a map is a matrix acting on column vectors.  A representation
-is admissible when the mesh relation
+(inverse); ``check_arrow`` is the one test of that form, wherever an arrow
+is read: the ``Representation`` constructor, ``map``,
+``path_action_is_zero`` and ``quotients.MonomialIdealSpec``.  A map is a
+matrix acting on column vectors.  A representation is admissible when the
+mesh relation
 
     (go right then back) - (go left then back) = 0
 
@@ -20,6 +23,7 @@ It takes nonnegative ``int`` dims and ``int`` or ``Fraction`` entries; a
 it is stored as the nonzero pairs in ``arrows(n)`` order, so equal modules
 have equal fields and hashes, and ``map(a)`` is zero on an arrow left out.
 A ``Morphism`` stores its vertex matrices as tuples, whatever it is given.
+``dim(v)`` and ``mat(v)`` are 1-based and refuse a vertex outside 1..n.
 
 Hom spaces are computed from the commuting-square equations, which
 ``_hom_system`` assembles as sparse integer rows.  It is the one place
@@ -83,6 +87,22 @@ def arrows(n: int) -> list[Arrow]:
     return [(i, sign) for i in range(1, n) for sign in (1, -1)]
 
 
+def check_arrow(a, n: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``a`` is an arrow, a tuple ``(i, 1)`` or
+    ``(i, -1)`` with an ``int`` i >= 1, and i < n when a rank n is given;
+    the message names the pair as given."""
+    if not (
+        type(a) is tuple
+        and len(a) == 2
+        and type(a[0]) is type(a[1]) is int
+        and a[0] >= 1
+        and a[1] in (1, -1)
+    ):
+        raise ValueError(f"{a!r} is not an arrow (i, 1) or (i, -1) with i >= 1")
+    if n is not None and a[0] >= n:
+        raise ValueError(f"arrow {arrow_name(a)} outside the rank-{n} quiver")
+
+
 def _arrow_index(a: Arrow) -> int:
     """The index of a quiver arrow in ``arrows(n)``, whatever n."""
     i, sign = a
@@ -142,9 +162,8 @@ class Representation:
                 raise ValueError(f"matrix for {name} has an entry not int or Fraction")
             if not linalg.is_zero(m):
                 pairs.append((a, m))
-        if named:
-            names = ", ".join(sorted(map(arrow_name, named)))
-            raise ValueError(f"arrows {names} outside the rank-{self.n} quiver")
+        for a in named:  # no arrow of the quiver took it, so this raises
+            check_arrow(a, self.n)
         object.__setattr__(self, "maps", tuple(pairs))
 
     @property
@@ -205,16 +224,19 @@ class Representation:
         return tuple(table)
 
     def dim(self, v: int) -> int:
+        """The dimension at vertex v in 1..n; any other vertex raises
+        ``IndexError``."""
+        if v < 1:
+            raise IndexError(f"vertex {v} out of range 1..{self.n}")
         return self.dims[v - 1]
 
     def map(self, a: Arrow) -> Matrix:
-        """The map on arrow ``a``: its stored matrix, or zero."""
-        i, _ = a
-        if not 1 <= i < self.n:
-            raise ValueError(f"arrow {arrow_name(a)} outside the rank-{self.n} quiver")
+        """The map on arrow ``a``: its stored matrix, or zero on an arrow
+        of the quiver that carries none (``check_arrow`` refuses the rest)."""
         for b, m in self.maps:
             if b == a:
                 return m
+        check_arrow(a, self.n)
         return linalg.zeros(self.dim(arrow_target(a)), self.dim(arrow_source(a)))
 
     def to_json(self) -> dict:
@@ -278,6 +300,10 @@ class Morphism:
         object.__setattr__(self, "mats", mats)
 
     def mat(self, v: int) -> Matrix:
+        """The matrix at vertex v in 1..n; any other vertex raises
+        ``IndexError``."""
+        if v < 1:
+            raise IndexError(f"vertex {v} out of range 1..{len(self.mats)}")
         return self.mats[v - 1]
 
     def is_valid(self) -> bool:
@@ -480,18 +506,20 @@ def path_action_is_zero(rep: Representation, path) -> bool:
     path = list(path)
     if not path:
         raise ValueError("need a nonempty path")
+    for a in path:
+        check_arrow(a, rep.n)
     for prev, nxt in zip(path, path[1:]):
         if arrow_target(prev) != arrow_source(nxt):
             raise ValueError(
                 f"path not composable: {arrow_name(prev)} then {arrow_name(nxt)}"
             )
-    maps = [rep.map(a) for a in path]  # raises on an arrow outside the quiver
     if any(not rep.mapped >> _arrow_index(a) & 1 for a in path):
         return True
-    total = maps[0]
-    current = arrow_source(path[0])
-    for a, m in zip(path[1:], maps[1:]):
-        total = linalg.matmul(m, total, rep.dim(current))
+    # every arrow is mapped, so every vertex on the path has a nonzero
+    # dimension and each product has rows
+    total = rep.map(path[0])
+    for a in path[1:]:
+        total = linalg.matmul(rep.map(a), total)
     return linalg.is_zero(total)
 
 

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 from .arcs import Arc, iter_compatible_index_sets, nad_table
 from .quiver import (
-    Arrow, arc_module, arrow_name, arrow_source, arrow_target, parse_arrow, path_action_is_zero
+    Arrow,
+    arc_module,
+    arrow_name,
+    arrow_source,
+    arrow_target,
+    check_arrow,
+    parse_arrow,
+    path_action_is_zero,
 )
 
 Path = tuple[Arrow, ...]
@@ -35,6 +42,8 @@ class MonomialIdealSpec:
         for path in generators:
             if not path:
                 raise ValueError("ideal generators must be nonempty paths")
+            for a in path:
+                check_arrow(a)
             for prev, nxt in zip(path, path[1:]):
                 if arrow_target(prev) != arrow_source(nxt):
                     names = " ".join(arrow_name(a) for a in path)

@@ -167,6 +167,22 @@ def test_nad_table_is_built_once_per_n(clear_caches):
     assert (info.misses, info.hits) == (1, len(FAMILIES) + 1)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, True])
+def test_enumerate_arcs_needs_an_int_rank_of_at_least_1(n):
+    # True gave the rank-1 arc, and 2.0 raised TypeError from range
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+        enumerate_arcs(n)
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+        family_count(n, "nad")
+
+
+def test_a_warm_nad_table_never_answers_a_bool_rank(clear_caches):
+    # the key True equals 1, so an untyped cache returned the rank-1 table
+    assert len(nad_table(1)[0]) == 1
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+        nad_table(True)
+
+
 def test_check_nad_examples():
     assert not check_nad([Arc(1, 3, frozenset({2})), Arc(1, 2)])  # shared left
     assert check_nad(
@@ -298,6 +314,16 @@ def test_enumerate_arcs_returns_the_arcs_diagrams_use():
     assert double_diagram(P("2143")).arc(1) is enumerate_arcs(3)[0]
 
 
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_a_diagram_position_outside_1_to_n_raises(i):
+    # position 0 read the last entry, -1 the one before it
+    diagram = double_diagram(P("213"))
+    with pytest.raises(IndexError):
+        diagram.arc(i)
+    with pytest.raises(IndexError):
+        diagram.color(i)
+
+
 def test_joins_without_each_drops_each_arc_in_sort_order():
     for n in range(1, 5):
         for w in all_permutations(n):
@@ -323,6 +349,12 @@ def test_arc_to_join_irreducible_examples():
     assert arc_to_join_irreducible(Arc(1, 3, frozenset({2})), 2) == P("312")
     assert arc_to_join_irreducible(Arc(1, 3), 2) == P("231")
     assert arc_to_join_irreducible(Arc(1, 2), 2) == P("213")
+
+
+def test_an_arc_beyond_the_points_of_the_rank_is_refused():
+    for build in (arc_to_join_irreducible, arc_module):
+        with pytest.raises(ValueError, match=r"escapes the point range 1\.\.3"):
+            build(Arc(1, 4), 2)
 
 
 def test_arc_to_join_irreducible_inverts_green():

@@ -1,5 +1,7 @@
 """The criteria table: its names and suites, and that a broken route fails."""
 
+import pytest
+
 import arcbricks.arcs as arcs
 import arcbricks.linalg as linalg
 import arcbricks.checks as checks
@@ -42,6 +44,11 @@ def test_suites_run_their_criteria_in_table_order():
         "order": ["order-criterion", "hasse-structure"],
         "quotients": ["quotient-families"],
     }
+
+
+def test_an_unknown_suite_raises():
+    with pytest.raises(KeyError, match="nope"):
+        run_suite("nope", 3)
 
 
 def test_max_n_below_the_range_skips_the_criterion():

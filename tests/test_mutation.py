@@ -323,6 +323,42 @@ def test_mutate_smc_rejects_a_member_outside_shifts_0_and_1(monkeypatch, shift):
         mutate_smc_collection(((module, shift), pivot), 2)
 
 
+@pytest.mark.parametrize(
+    "n,pivot,member,shift,message",
+    [
+        (
+            4,
+            Arc(1, 5, frozenset({3})),
+            Arc(1, 4, frozenset({2})),
+            0,
+            "extension space against the pivot has dimension 2",
+        ),
+        (
+            3,
+            Arc(1, 4, frozenset({2})),
+            Arc(1, 4, frozenset({3})),
+            1,
+            "hom space against the pivot has dimension 2",
+        ),
+        (
+            2,
+            Arc(1, 3, frozenset({2})),
+            Arc(1, 3),
+            1,
+            "approximation map is neither injective nor surjective",
+        ),
+    ],
+)
+def test_the_module_route_refuses_a_member_without_one_approximation(
+    clear_caches, n, pivot, member, shift, message
+):
+    # psi(D_w) never reaches these refusals: its members have a zero- or
+    # one-dimensional space against the pivot and a mono or epi map to it
+    members = ((arc_module(pivot, n), 0), (arc_module(member, n), shift))
+    with pytest.raises(MutationError, match=message):
+        mutate_smc_collection(members, 1)
+
+
 def test_mutate_smc_matches_diagram_route():
     for w in all_permutations(3):
         diagram = double_diagram(w)

@@ -136,6 +136,29 @@ def test_identity_and_all_permutations_need_an_int_rank_of_at_least_1(n):
         all_permutations(n)
 
 
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_an_entry_outside_1_to_n_plus_1_raises(i):
+    # w[0] read the last entry, w[-1] the one before it
+    with pytest.raises(IndexError):
+        Permutation((2, 1, 3))[i]
+
+
+def test_a_permutation_is_not_iterable():
+    # the old iteration protocol started at w[0], so list(w) was
+    # [3, 2, 1, 3] and 3 in w was True for the word 213
+    w = Permutation((2, 1, 3))
+    with pytest.raises(TypeError):
+        list(w)
+    with pytest.raises(TypeError):
+        3 in w
+    assert list(w.word) == [2, 1, 3]
+
+
+def test_join_of_two_ranks_raises():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        join(P("21"), P("213"))
+
+
 def assert_validated(w):
     """w equals, hashes and reads like the permutation that the validating
     constructor builds from w's word."""

@@ -2,11 +2,12 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from arcbricks import linalg
+from arcbricks import linalg, quiver
 from arcbricks.arcs import Arc, double_diagram, enumerate_arcs, restrict_green
 from arcbricks.permutations import all_permutations
 from arcbricks.quiver import (
@@ -479,6 +480,39 @@ def test_maps_on_arrows_outside_the_quiver_are_rejected():
         Representation((1, 1), {(5, 1): ((1,),)})
     with pytest.raises(ValueError, match="a5- outside the rank-2 quiver"):
         Representation((1, 1), {(5, -1): ((1,),)})
+
+
+@pytest.mark.parametrize("v", [0, -1, 3])
+def test_a_vertex_outside_1_to_n_raises(v):
+    # vertex 0 read the last vertex, -1 the one before it
+    m = arc_module(A13D, 2)
+    f = hom_basis(m, m)[0]
+    with pytest.raises(IndexError):
+        m.dim(v)
+    with pytest.raises(IndexError):
+        f.mat(v)
+
+
+@pytest.mark.parametrize("a", [(1, 0), (1, 2), (1, 5), (0, 1), (1, 1, 1), [1, 1]])
+def test_a_pair_that_is_no_arrow_is_refused_wherever_it_is_read(a):
+    # map read (1, 0) and (1, 2) as zero, the constructor named (1, 0) a1-,
+    # and path_action_is_zero found (1, 5) zero
+    m = arc_module(A13D, 2)
+    message = rf"{re.escape(repr(a))} is not an arrow \(i, 1\) or \(i, -1\)"
+    with pytest.raises(ValueError, match=message):
+        m.map(a)
+    with pytest.raises(ValueError, match=message):
+        path_action_is_zero(m, [a])
+    if isinstance(a, tuple):  # a list is no dict key
+        with pytest.raises(ValueError, match=message):
+            Representation((1, 1), {a: ((1,),)})
+
+
+def test_a_negative_ext1_dimension_raises(clear_caches, monkeypatch):
+    # only a wrong hom_dim can make the Euler form exceed the hom terms
+    monkeypatch.setattr(quiver, "hom_dim", lambda m, n: 0)
+    with pytest.raises(ArithmeticError, match="negative Ext\\^1 dimension -2"):
+        ext1_dim(simple(2, 1), simple(2, 1))
 
 
 # sha256 of every hom basis at n=4, as computed by the Fraction Gauss-Jordan

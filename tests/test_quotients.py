@@ -28,6 +28,16 @@ def test_ideal_spec_validation():
     assert spec.generators == (((1, -1),), ((2, 1), (3, 1)))
 
 
+@pytest.mark.parametrize("arrow", [(1, 0), (0, 1), (1, 2)])
+def test_an_ideal_refuses_a_pair_that_is_no_arrow(arrow):
+    # [[(1, 0)]] was accepted, and family_count(3, ...) of it was 24: every
+    # arc was killed by the arrow that does not exist
+    with pytest.raises(ValueError, match=r"is not an arrow \(i, 1\) or \(i, -1\)"):
+        MonomialIdealSpec([[arrow]])
+    with pytest.raises(ValueError, match="is not an arrow"):
+        MonomialIdealSpec([[(1, 1), arrow]])
+
+
 @pytest.mark.parametrize("generators", [[[(1, 1)]], [[[1, 1]]], ([(1, 1)],)])
 def test_an_ideal_is_stored_as_tuples(generators):
     # list generators used to be stored as given: unhashable, and unequal
