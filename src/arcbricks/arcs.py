@@ -218,15 +218,19 @@ def restrict_green(diagram: ColoredDiagram) -> frozenset[Arc]:
     return frozenset(diagram.green_arcs())
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def arc_to_join_irreducible(arc: Arc, n: int) -> Permutation:
     """The single-descent permutation whose lone green arc is the given one,
     built once per ``(arc, n)``.
 
     The word is two ascending runs: values left of the span, the below
     points, then the right endpoint; followed by the left endpoint, the
-    above points, then the values right of the span.
+    above points, then the values right of the span.  The rank goes through
+    ``check_rank`` and the cache is typed, so ``(arc, True)`` and
+    ``(arc, 2.0)`` are rejected, never answered from ``(arc, 1)`` or
+    ``(arc, 2)``.
     """
+    check_rank(n)
     if arc.right > n + 1:
         raise ValueError(f"{arc} escapes the point range 1..{n + 1}")
     below = set(arc.interior) - arc.above

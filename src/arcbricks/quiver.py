@@ -32,28 +32,34 @@ those equations are written: ``hom_basis`` takes their ``linalg.kernel``,
 them on a morphism's entries.  Ext^1 comes from the symmetric Euler-type
 form and is never computed any other way here.  ``morphism_parts`` gives
 the kernel and cokernel of a morphism; their arrow maps are read off the
-canonical kernel bases of ``linalg.nullspace``, with no linear solve, on
-the arrows its source or target maps; a map is injective when its kernel
-is zero.  ``is_isomorphic`` returns ``True`` on equal representations
-first; the package's own checks compare modules with ``==``.
+canonical kernel bases of ``linalg.nullspace``, with no linear solve: the
+kernel's on the arrows the source maps, the cokernel's on those the target
+maps, each only where both of its vertex spaces are nonzero.  A map is
+injective when its kernel is zero.  ``is_isomorphic`` returns ``True`` on
+equal representations first; the package's own checks compare modules with
+``==``.
 
-Five functions are cached: ``hom_basis``, ``hom_dim`` and ``ext1_dim`` on
+Six functions are cached: ``hom_basis``, ``hom_dim`` and ``ext1_dim`` on
 the pair of representations and ``morphism_parts`` on the morphism
-(``@cache``), and ``arc_module`` on ``(arc, n)``, in a typed cache, so a
-rank that is not an ``int`` is rejected, never answered for the equal
-``int``.  ``hom_dim`` is the number of
-unknowns minus the forward-pass rank of the system (rank-nullity,
-``linalg.rank``), so it builds no ``Morphism``, keeps no basis and skips
-the back-reduction.  A ``Representation`` computes its hash once and keeps
-it, so these keys hash their ``Fraction`` entries once per object, not once
-per lookup.  It also builds, once and on first use, three arrow bitmasks
-(``mapped``: a nonzero map; ``tails`` and ``heads``: the arrow's source,
-respectively target, vertex in the support) and its arrow table, which
-holds per arrow the source and target indices, the nonzero entries of each
-column and the negated nonzero entries of each row.  So a module's
-matrices are scanned once, not once per pair it takes part in.  The hash,
-the masks, the table and the ``integral`` flag are ``lazy.lazy_attribute``s,
-kept on the instance after their first read.
+(``@cache``); the private ``_vertex_parts`` on a vertex matrix and its
+shape (``@cache``), so each distinct vertex matrix is eliminated once for
+its kernel and cokernel bases, not once per morphism; and ``arc_module``
+on ``(arc, n)``, in a typed cache, so a rank that ``permutations.check_rank``
+refuses is rejected, never answered for the equal ``int``.  ``hom_dim`` is
+the number of unknowns minus the forward-pass rank of the system
+(rank-nullity, ``linalg.rank``), so it builds no ``Morphism``, keeps no
+basis and skips the back-reduction.  A ``Representation`` computes its
+hash once and keeps it, so these keys hash their ``Fraction`` entries once
+per object, not once per lookup.  It also builds, once and on first use,
+three arrow bitmasks (``mapped``: a nonzero map; ``tails`` and ``heads``:
+the arrow's source, respectively target, vertex in the support) and its
+arrow table, which holds per arrow the source and target indices, the
+nonzero entries of each column and the negated nonzero entries of each row.
+All four are read off the stored nonzero maps and ``dims``, so an arrow
+without a map costs no zero matrix, and a module's matrices are scanned
+once, not once per pair it takes part in.  The hash, the masks, the table
+and the ``integral`` flag are ``lazy.lazy_attribute``s, kept on the
+instance after their first read.
 ``_hom_system`` reads the two tables only on the arrows of
 ``(source.mapped | target.mapped) & source.tails & target.heads``: an arrow
 from s to t has equations only for a nonzero target.dim(t) x source.dim(s)
@@ -73,6 +79,7 @@ from . import linalg
 from .arcs import Arc
 from .lazy import lazy_attribute
 from .linalg import Matrix
+from .permutations import check_rank
 
 Arrow = tuple[int, int]  # (index i, sign +1/-1)
 
@@ -101,6 +108,14 @@ def check_arrow(a, n: int | None = None) -> None:
         raise ValueError(f"{a!r} is not an arrow (i, 1) or (i, -1) with i >= 1")
     if n is not None and a[0] >= n:
         raise ValueError(f"arrow {arrow_name(a)} outside the rank-{n} quiver")
+
+
+def _support_mask(direct_dims, inverse_dims) -> int:
+    """Bitmask over ``arrows(n)``: bit 2i-2 (a_i) when the i-th of
+    ``direct_dims`` is nonzero and bit 2i-1 (a_i^-) when the i-th of
+    ``inverse_dims`` is; the shorter of the two fixes the length."""
+    pairs = enumerate(zip(direct_dims, inverse_dims))
+    return sum((bool(d) | bool(e) << 1) << 2 * i for i, (d, e) in pairs)
 
 
 def _arrow_index(a: Arrow) -> int:
@@ -146,14 +161,15 @@ class Representation:
         object.__setattr__(self, "dims", dims)
         given = tuple(self.maps.items() if isinstance(self.maps, dict) else self.maps)
         named = dict(given)
+        # before any key is matched, so a pair that only equals an arrow,
+        # such as (True, 1), is refused rather than stored as that arrow
+        for a, _ in given:
+            check_arrow(a, self.n)
         if len(named) != len(given):
             raise ValueError("an arrow is given two maps")
         pairs = []
-        for a in arrows(self.n):
-            m = named.pop(a, None)
-            if m is None:
-                continue
-            m = tuple(map(tuple, m))
+        for a in sorted(named, key=_arrow_index):
+            m = tuple(map(tuple, named[a]))
             rows, cols = dims[arrow_target(a) - 1], dims[arrow_source(a) - 1]
             if len(m) != rows or any(len(row) != cols for row in m):
                 raise ValueError(f"matrix for {arrow_name(a)} is not {rows} x {cols}")
@@ -162,8 +178,6 @@ class Representation:
                 raise ValueError(f"matrix for {name} has an entry not int or Fraction")
             if not linalg.is_zero(m):
                 pairs.append((a, m))
-        for a in named:  # no arrow of the quiver took it, so this raises
-            check_arrow(a, self.n)
         object.__setattr__(self, "maps", tuple(pairs))
 
     @property
@@ -193,34 +207,40 @@ class Representation:
 
     @lazy_attribute
     def tails(self) -> int:
-        """Bitmask of the arrows whose source vertex is in the support."""
-        ends = map(arrow_source, arrows(self.n))
-        return sum(1 << j for j, v in enumerate(ends) if self.dim(v))
+        """Bitmask of the arrows whose source vertex is in the support:
+        a_i starts at v_i and a_i^- at v_{i+1}."""
+        return _support_mask(self.dims, self.dims[1:])
 
     @lazy_attribute
     def heads(self) -> int:
-        """Bitmask of the arrows whose target vertex is in the support."""
-        ends = map(arrow_target, arrows(self.n))
-        return sum(1 << j for j, v in enumerate(ends) if self.dim(v))
+        """Bitmask of the arrows whose target vertex is in the support:
+        a_i ends at v_{i+1} and a_i^- at v_i."""
+        return _support_mask(self.dims[1:], self.dims)
 
     @lazy_attribute
     def arrow_table(self) -> tuple[tuple[int, int, tuple, tuple], ...]:
         """Per arrow, indexed like ``arrows(n)``: the 0-based source and
         target vertices, each column's nonzero entries as ``(row, x)`` and
         each row's negated nonzero entries as ``(column, -x)``.  Integral
-        entries are stored as ``int``."""
+        entries are stored as ``int``.  Built from the stored maps alone: an
+        arrow with none has an empty tuple per column and per row."""
+        dims = self.dims
         table = []
         for a in arrows(self.n):
             s, t = arrow_source(a) - 1, arrow_target(a) - 1
-            entries = [[_exact(x) for x in row] for row in self.map(a)]
+            table.append((s, t, ((),) * dims[s], ((),) * dims[t]))
+        for a, m in self.maps:
+            j = _arrow_index(a)
+            s, t = table[j][:2]
+            entries = [[_exact(x) for x in row] for row in m]
             cols = tuple(
                 tuple((k, row[c]) for k, row in enumerate(entries) if row[c])
-                for c in range(self.dims[s])
+                for c in range(dims[s])
             )
             rows = tuple(
                 tuple((k, -x) for k, x in enumerate(row) if x) for row in entries
             )
-            table.append((s, t, cols, rows))
+            table[j] = (s, t, cols, rows)
         return tuple(table)
 
     def dim(self, v: int) -> int:
@@ -232,11 +252,12 @@ class Representation:
 
     def map(self, a: Arrow) -> Matrix:
         """The map on arrow ``a``: its stored matrix, or zero on an arrow
-        of the quiver that carries none (``check_arrow`` refuses the rest)."""
+        of the quiver that carries none (``check_arrow`` refuses the rest,
+        first, so a pair that only equals an arrow never reads its map)."""
+        check_arrow(a, self.n)
         for b, m in self.maps:
             if b == a:
                 return m
-        check_arrow(a, self.n)
         return linalg.zeros(self.dim(arrow_target(a)), self.dim(arrow_source(a)))
 
     def to_json(self) -> dict:
@@ -256,9 +277,9 @@ def arc_module(arc: Arc, n: int) -> Representation:
     arrow a_{m-1}^- under each above point.
 
     The cache is typed, so a ``bool`` or ``float`` rank never finds the
-    module of the equal ``int`` rank; it is rejected here instead."""
-    if type(n) is not int:
-        raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
+    module of the equal ``int`` rank; ``check_rank`` rejects it here, as it
+    does a rank below 1."""
+    check_rank(n)
     if arc.right > n + 1:
         raise ValueError(f"{arc} escapes the point range 1..{n + 1}")
     p, q = arc.left, arc.right
@@ -424,39 +445,55 @@ def _free_coordinates(basis) -> list[int]:
 
 
 @cache
+def _vertex_parts(m: Matrix, rows: int, cols: int) -> tuple[tuple, ...]:
+    """The canonical bases of ker(m) and ker(m^T) for a ``rows x cols``
+    vertex matrix, each with its free coordinates.  The shape is part of the
+    key, since a matrix with no rows does not carry its column count.  Few
+    distinct vertex matrices occur, so each is eliminated once, not once per
+    morphism that has it."""
+    ker = tuple(linalg.nullspace(m, ncols=cols))
+    cok = tuple(linalg.nullspace(linalg.transpose(m, ncols=cols), ncols=rows))
+    return ker, tuple(_free_coordinates(ker)), cok, tuple(_free_coordinates(cok))
+
+
+@cache
 def morphism_parts(f: Morphism) -> tuple[Representation, Representation]:
     """Kernel and cokernel with their induced arrow maps, computed once per
     morphism and with no linear solve.
 
     ``K_v`` has the canonical basis of ker(f_v) as columns and ``C_v`` that
-    of ker(f_v^T) as rows; each is the identity at its free coordinates.  On
-    ``a : s -> t``, with X_a and Y_a the source's and the target's maps, the
-    kernel map is ``X_a K_s`` read at the rows of K_t's free coordinates.
-    The unit columns at C_s's free coordinates are a right inverse of C_s,
-    so the cokernel map is ``C_t Y_a`` read at those columns; any right
-    inverse gives the same map, since ``C_t Y_a`` kills the image of f_s.
+    of ker(f_v^T) as rows; each is the identity at its free coordinates
+    (``_vertex_parts``).  On ``a : s -> t``, with X_a and Y_a the source's
+    and the target's maps, the kernel map is ``X_a K_s`` read at the rows of
+    K_t's free coordinates.  The unit columns at C_s's free coordinates are
+    a right inverse of C_s, so the cokernel map is ``C_t Y_a`` read at those
+    columns; any right inverse gives the same map, since ``C_t Y_a`` kills
+    the image of f_s.  So the kernel map is zero where the source stores no
+    map, the cokernel map where the target stores none, and each is zero
+    where its source or target space is; only the others are computed.
     """
-    n = f.source.n
-    ker, cok = [], []
-    for v in range(1, n + 1):
-        fvt = linalg.transpose(f.mat(v), ncols=f.source.dim(v))
-        ker.append(linalg.nullspace(f.mat(v), ncols=f.source.dim(v)))
-        cok.append(linalg.nullspace(fvt, ncols=f.target.dim(v)))
-    ker_free = [_free_coordinates(basis) for basis in ker]
-    cok_free = [_free_coordinates(basis) for basis in cok]
+    parts = [
+        _vertex_parts(m, rows, cols)
+        for m, rows, cols in zip(f.mats, f.target.dims, f.source.dims)
+    ]
     ker_maps, cok_maps = {}, {}
-    # an arrow that neither module maps has zero kernel and cokernel maps
-    for a in dict.fromkeys(a for a, _ in f.source.maps + f.target.maps):
+    for a, ms in f.source.maps:
         s, t = arrow_source(a) - 1, arrow_target(a) - 1
-        ms, mt = f.source.map(a), f.target.map(a)
-        ker_maps[a] = tuple(
-            tuple(_dot(ms[p], k) for k in ker[s]) for p in ker_free[t]
-        )
-        cok_maps[a] = tuple(
-            tuple(_dot(c, [row[q] for row in mt]) for q in cok_free[s]) for c in cok[t]
-        )
-    kernel = Representation([len(basis) for basis in ker], ker_maps)
-    cokernel = Representation([len(basis) for basis in cok], cok_maps)
+        ker_s, ker_free_t = parts[s][0], parts[t][1]
+        if ker_s and ker_free_t:
+            ker_maps[a] = tuple(
+                tuple(_dot(ms[p], k) for k in ker_s) for p in ker_free_t
+            )
+    for a, mt in f.target.maps:
+        s, t = arrow_source(a) - 1, arrow_target(a) - 1
+        cok_free_s, cok_t = parts[s][3], parts[t][2]
+        if cok_free_s and cok_t:
+            cok_maps[a] = tuple(
+                tuple(_dot(c, [row[q] for row in mt]) for q in cok_free_s)
+                for c in cok_t
+            )
+    kernel = Representation([len(part[0]) for part in parts], ker_maps)
+    cokernel = Representation([len(part[2]) for part in parts], cok_maps)
     return kernel, cokernel
 
 

@@ -351,6 +351,20 @@ def test_arc_to_join_irreducible_examples():
     assert arc_to_join_irreducible(Arc(1, 2), 2) == P("213")
 
 
+def test_arc_to_join_irreducible_refuses_a_rank_that_is_not_an_int_of_at_least_1(
+    clear_caches,
+):
+    # (arc, True) returned 21 once (arc, 1) was cached, being an equal key,
+    # and 2.0 raised TypeError from range; the int ranks are cached first
+    arc = Arc(1, 2)
+    cached = {n: arc_to_join_irreducible(arc, n) for n in (1, 2)}
+    for n in (True, 2.0, 0):
+        with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+            arc_to_join_irreducible(arc, n)
+    assert cached == {1: P("21"), 2: P("213")}
+    assert arc_to_join_irreducible.cache_info().currsize == 2
+
+
 def test_an_arc_beyond_the_points_of_the_rank_is_refused():
     for build in (arc_to_join_irreducible, arc_module):
         with pytest.raises(ValueError, match=r"escapes the point range 1\.\.3"):

@@ -444,15 +444,21 @@ def test_arc_module_rejects_a_rank_that_is_not_an_int_in_either_order(
     arc = Arc(1, 2)
     if good_first:
         assert arc_module(arc, good).n == good
-    with pytest.raises(ValueError, match="rank must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
         arc_module(arc, bad)
     assert type(arc_module(arc, good).n) is int
+
+
+def test_arc_module_refuses_a_rank_below_1_as_a_rank():
+    # it reported "escapes the point range 1..1", naming the arc, not the rank
+    with pytest.raises(ValueError, match="rank must be an integer >= 1, got 0"):
+        arc_module(Arc(1, 2), 0)
 
 
 def test_arc_module_never_caches_a_bool_rank(clear_caches):
     # the cache key (arc, True) equals (arc, 1), so a module built with
     # n=True would be returned for n=1 too
-    with pytest.raises(ValueError, match="rank must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
         arc_module(Arc(1, 2), True)
     assert type(arc_module(Arc(1, 2), 1).n) is int
 
@@ -506,6 +512,21 @@ def test_a_pair_that_is_no_arrow_is_refused_wherever_it_is_read(a):
     if isinstance(a, tuple):  # a list is no dict key
         with pytest.raises(ValueError, match=message):
             Representation((1, 1), {a: ((1,),)})
+
+
+@pytest.mark.parametrize("a", [(True, 1), (1, True), (1.0, 1), (1, -1.0)])
+def test_a_pair_that_only_equals_an_arrow_is_refused(a):
+    # map((True, 1)) returned a1's matrix and the constructor stored the map
+    # given on (True, 1) as a1's, since the pair equals (1, 1)
+    m = arc_module(A13D, 2)  # a1 carries the identity
+    message = rf"{re.escape(repr(a))} is not an arrow \(i, 1\) or \(i, -1\)"
+    with pytest.raises(ValueError, match=message):
+        m.map(a)
+    with pytest.raises(ValueError, match=message):
+        Representation((1, 1), {a: ((1,),)})
+    # also beside the arrow it equals, which used to read as a repeat
+    with pytest.raises(ValueError, match=message):
+        Representation((1, 1), (((1, 1), ((1,),)), (a, ((1,),))))
 
 
 def test_a_negative_ext1_dimension_raises(clear_caches, monkeypatch):
@@ -682,6 +703,16 @@ def reference_equation_arrows(source, target):
     return mask
 
 
+def double_holed_and_through():
+    """S_1 + S_1 at n=2, with two dimensions at v_1 and every map zero;
+    S_1 + S_3 at n=3, with a hole at v_2; and the arc module 1 -> 2 <- 3,
+    whose two maps point into that hole."""
+    double = Representation((2, 0), {})
+    holed = direct_sum(simple(3, 1), simple(3, 3))
+    through = arc_module(Arc(1, 4, frozenset({3})), 3)
+    return double, holed, through
+
+
 def test_hom_system_skips_no_equation(clear_caches):
     pairs = []
     for n in range(1, 5):
@@ -689,15 +720,11 @@ def test_hom_system_skips_no_equation(clear_caches):
         pairs += itertools.product(modules, repeat=2)
     reps, modules = modules_beyond_arc_modules()
     pairs += itertools.product([*reps, *modules], repeat=2)
-    # S_1 + S_1 at n=2: two dimensions at v_1 and every map zero
-    double = Representation((2, 0), {})
+    double, holed, through = double_holed_and_through()
     assert double.mapped == 0
     pairs.append((double, double))
-    # S_1 + S_3 at n=3, with a hole at v_2, both ways against the arc module
-    # 1 -> 2 <- 3: its two maps point into the hole, so they write rows out
-    # of S_1 + S_3 and none into it
-    holed = direct_sum(simple(3, 1), simple(3, 3))
-    through = arc_module(Arc(1, 4, frozenset({3})), 3)
+    # the holed module both ways against 1 -> 2 <- 3: its two maps point
+    # into the hole, so they write rows out of S_1 + S_3 and none into it
     pairs += [(holed, through), (through, holed)]
     for source, target in pairs:
         assert _hom_system(source, target) == reference_hom_system(source, target)
@@ -707,6 +734,38 @@ def test_hom_system_skips_no_equation(clear_caches):
     assert hom_dim(double, double) == 4
     assert [len(_hom_system(*pair)[0]) for pair in pairs[-2:]] == [2, 0]
     assert (hom_dim(holed, through), hom_dim(through, holed)) == (0, 2)
+
+
+def reference_arrow_table(rep):
+    """``arrow_table``, ``mapped``, ``tails`` and ``heads`` read off the
+    dense ``map(a)`` of every arrow and ``dim(v)`` of every vertex."""
+    table, mapped, tails, heads = [], 0, 0, 0
+    for j, a in enumerate(arrows(rep.n)):
+        s, t = arrow_source(a), arrow_target(a)
+        m = rep.map(a)
+        entries = [[int(x) if x.denominator == 1 else x for x in row] for row in m]
+        cols = tuple(
+            tuple((k, row[c]) for k, row in enumerate(entries) if row[c])
+            for c in range(rep.dim(s))
+        )
+        rows = tuple(tuple((c, -x) for c, x in enumerate(row) if x) for row in entries)
+        table.append((s - 1, t - 1, cols, rows))
+        mapped |= (not linalg.is_zero(m)) << j
+        tails |= (rep.dim(s) > 0) << j
+        heads |= (rep.dim(t) > 0) << j
+    return tuple(table), mapped, tails, heads
+
+
+def test_arrow_tables_and_masks_match_the_dense_maps(clear_caches):
+    # the tables are built from the stored maps alone, and
+    # reference_hom_system reads them, so only this compares them with
+    # the maps; repr also pins integral entries as int
+    reps = [arc_module(arc, n) for n in range(1, 6) for arc in enumerate_arcs(n)]
+    beyond, _ = modules_beyond_arc_modules()
+    reps += [*beyond, *double_holed_and_through()]
+    for rep in reps:
+        got = (rep.arrow_table, rep.mapped, rep.tails, rep.heads)
+        assert repr(got) == repr(reference_arrow_table(rep)), rep
 
 
 def test_hom_between_modules_of_different_rank_raises():
