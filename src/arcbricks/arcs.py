@@ -32,6 +32,7 @@ from .permutations import (
     check_rank,
     identity_permutation,
     join,
+    one_based,
 )
 
 GREEN = "green"
@@ -175,16 +176,12 @@ class ColoredDiagram:
     def arc(self, i: int) -> Arc:
         """The arc at position i in 1..n; any other position raises
         ``IndexError``."""
-        if i < 1:
-            raise IndexError(f"position {i} out of range 1..{self.n}")
-        return self.entries[i - 1][0]
+        return one_based(self.entries, i, "position")[0]
 
     def color(self, i: int) -> str:
         """The color at position i in 1..n; any other position raises
         ``IndexError``."""
-        if i < 1:
-            raise IndexError(f"position {i} out of range 1..{self.n}")
-        return self.entries[i - 1][1]
+        return one_based(self.entries, i, "position")[1]
 
     def green_arcs(self) -> list[Arc]:
         return [arc for arc, color in self.entries if color == GREEN]
@@ -214,6 +211,14 @@ def _interned_arc(left: int, right: int, above: int) -> Arc:
     return Arc(left, right, frozenset(m for m in range(left + 1, right) if above >> m & 1))
 
 
+def check_arc(arc: Arc, n) -> None:
+    """Raise ``ValueError`` unless n is a rank (``check_rank``) and the arc
+    lies on its points 1..n+1."""
+    check_rank(n)
+    if arc.right > n + 1:
+        raise ValueError(f"{arc} escapes the point range 1..{n + 1}")
+
+
 def restrict_green(diagram: ColoredDiagram) -> frozenset[Arc]:
     return frozenset(diagram.green_arcs())
 
@@ -225,14 +230,12 @@ def arc_to_join_irreducible(arc: Arc, n: int) -> Permutation:
 
     The word is two ascending runs: values left of the span, the below
     points, then the right endpoint; followed by the left endpoint, the
-    above points, then the values right of the span.  The rank goes through
-    ``check_rank`` and the cache is typed, so ``(arc, True)`` and
+    above points, then the values right of the span.  The rank and the arc
+    go through ``check_arc`` and the cache is typed, so ``(arc, True)`` and
     ``(arc, 2.0)`` are rejected, never answered from ``(arc, 1)`` or
     ``(arc, 2)``.
     """
-    check_rank(n)
-    if arc.right > n + 1:
-        raise ValueError(f"{arc} escapes the point range 1..{n + 1}")
+    check_arc(arc, n)
     below = set(arc.interior) - arc.above
     first = sorted(set(range(1, arc.left)) | below | {arc.right})
     second = sorted({arc.left} | set(arc.above) | set(range(arc.right + 1, n + 2)))

@@ -50,6 +50,7 @@ from .permutations import (
 )
 from .linalg import identity, is_zero
 from .quiver import (
+    Morphism,
     Representation,
     arc_module,
     check_relations,
@@ -69,7 +70,7 @@ from .quotients import (
     radical_square_ideal,
     two_cycle_ideal,
 )
-from .strings import graph_map_count, graph_maps, materialize
+from .strings import Middle, graph_map_count, graph_maps
 
 Case = tuple[str, Any, Any]
 
@@ -167,6 +168,22 @@ def _brick_classification(n: int) -> Iterator[Case]:
         v = arc.left - 1 if arc.left > 1 else arc.right
         if v <= n:
             yield f"{arc} + S_{v} is a brick", is_brick(_plus_simple(module, v)), False
+
+
+def materialize(alpha: Arc, beta: Arc, middle: Middle, n: int) -> Morphism:
+    """The graph map from alpha to beta with this middle as a concrete
+    morphism: the identity over the middle's vertex interval and zero
+    elsewhere, with ``int`` entries, so ``Morphism.is_valid`` evaluates the
+    integer hom rows on them in ints."""
+    source = arc_module(alpha, n)
+    target = arc_module(beta, n)
+    first, letters = middle
+    last = first + len(letters)
+    mats = tuple(
+        ((1,),) if first <= v <= last else ((0,) * source.dim(v),) * target.dim(v)
+        for v in range(1, n + 1)
+    )
+    return Morphism(source, target, mats)
 
 
 def _independent_morphisms(alpha: Arc, beta: Arc, middles, n: int) -> bool:

@@ -22,8 +22,9 @@ that are permutations by construction skip that check through the private
 ``_trusted``: ``all_permutations`` and ``identity_permutation`` (after
 ``check_rank``, which ``arcs.enumerate_arcs`` also calls),
 ``left_multiply_simple`` (after its index check) and ``_from_rows`` (which
-keeps its biclosure check).  ``w[i]`` is 1-based and refuses a position
-outside 1..n+1, and a permutation is not iterable: read ``w.word``.
+keeps its biclosure check).  ``one_based`` is the package's one 1-based
+index check: ``w[i]`` refuses through it any position but an ``int`` in
+1..n+1, and a permutation is not iterable: read ``w.word``.
 ``inversion_rows`` is a ``lazy.lazy_attribute``, built on first read and
 kept on the instance.
 """
@@ -65,11 +66,9 @@ class Permutation:
         return tuple(rows)
 
     def __getitem__(self, i: int) -> int:
-        """1-based entry access: w[i] = w_i, for i in 1..n+1; position 0 and
-        negative positions raise ``IndexError``, as positions past n+1 do."""
-        if i < 1:
-            raise IndexError(f"position {i} out of range 1..{len(self.word)}")
-        return self.word[i - 1]
+        """1-based entry access: w[i] = w_i, for an ``int`` i in 1..n+1; any
+        other position raises ``IndexError`` (``one_based``)."""
+        return one_based(self.word, i, "position")
 
     # not iterable: iteration would fall back on __getitem__ from position
     # 0, so ``iter(w)`` and ``v in w`` raise TypeError; read ``w.word``
@@ -97,6 +96,14 @@ def _trusted(word: tuple[int, ...]) -> Permutation:
     w = object.__new__(Permutation)
     object.__setattr__(w, "word", word)
     return w
+
+
+def one_based(items: tuple, i: int, what: str):
+    """``items[i - 1]`` for an ``int`` i in 1..len(items); any other i,
+    ``True`` and ``1.0`` among them, raises ``IndexError`` naming the range."""
+    if type(i) is not int or not 1 <= i <= len(items):
+        raise IndexError(f"{what} {i!r} out of range 1..{len(items)}")
+    return items[i - 1]
 
 
 def check_rank(n) -> None:

@@ -4,10 +4,10 @@ Vertices are ``v_1 .. v_n``; for each ``1 <= i <= n-1`` there is a direct
 arrow ``a_i : v_i -> v_{i+1}`` and an inverse arrow ``a_i^- : v_{i+1} -> v_i``.
 An arrow is the pair ``(i, sign)`` with sign ``+1`` (direct) or ``-1``
 (inverse); ``check_arrow`` is the one test of that form, wherever an arrow
-is read: the ``Representation`` constructor, ``map``,
-``path_action_is_zero`` and ``quotients.MonomialIdealSpec``.  A map is a
-matrix acting on column vectors.  A representation is admissible when the
-mesh relation
+is read: the ``Representation`` constructor, ``map`` and ``check_path``,
+the one test that a path composes, for ``path_action_is_zero`` and
+``quotients.MonomialIdealSpec``.  A map is a matrix acting on column
+vectors.  A representation is admissible when the mesh relation
 
     (go right then back) - (go left then back) = 0
 
@@ -17,8 +17,9 @@ arrow carries the identity, above means the inverse one does.
 
 ``Representation(dims, maps)`` is the one constructor and validator.
 The dims fix the rank: ``n`` is ``len(dims)``, a property, not a field.
-It takes nonnegative ``int`` dims and ``int`` or ``Fraction`` entries; a
-``bool`` is neither, so ``True`` never stands in for 1 in a stored module.
+It takes nonnegative ``int`` dims and ``int`` or ``Fraction`` entries, and
+stores each integral entry as an ``int`` (``integral`` is then a type test);
+a ``bool`` is neither, so ``True`` never stands in for 1 in a stored module.
 ``maps`` names the nonzero maps, as a dict or ``(arrow, matrix)`` pairs;
 it is stored as the nonzero pairs in ``arrows(n)`` order, so equal modules
 have equal fields and hashes, and ``map(a)`` is zero on an arrow left out.
@@ -44,7 +45,7 @@ the pair of representations and ``morphism_parts`` on the morphism
 (``@cache``); the private ``_vertex_parts`` on a vertex matrix and its
 shape (``@cache``), so each distinct vertex matrix is eliminated once for
 its kernel and cokernel bases, not once per morphism; and ``arc_module``
-on ``(arc, n)``, in a typed cache, so a rank that ``permutations.check_rank``
+on ``(arc, n)``, in a typed cache, so a rank that ``arcs.check_arc``
 refuses is rejected, never answered for the equal ``int``.  ``hom_dim`` is
 the number of unknowns minus the forward-pass rank of the system
 (rank-nullity, ``linalg.rank``), so it builds no ``Morphism``, keeps no
@@ -76,18 +77,12 @@ from itertools import accumulate
 from operator import mul
 
 from . import linalg
-from .arcs import Arc
+from .arcs import Arc, check_arc
 from .lazy import lazy_attribute
 from .linalg import Matrix
-from .permutations import check_rank
+from .permutations import one_based
 
 Arrow = tuple[int, int]  # (index i, sign +1/-1)
-
-
-def _exact(x: Fraction) -> Fraction | int:
-    """``x`` as an ``int`` when it is integral, so elimination needs no
-    scaling for it."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def arrows(n: int) -> list[Arrow]:
@@ -108,6 +103,20 @@ def check_arrow(a, n: int | None = None) -> None:
         raise ValueError(f"{a!r} is not an arrow (i, 1) or (i, -1) with i >= 1")
     if n is not None and a[0] >= n:
         raise ValueError(f"arrow {arrow_name(a)} outside the rank-{n} quiver")
+
+
+def check_path(path, n: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``path`` is a nonempty sequence of arrows
+    (``check_arrow``, with the rank n when given) in which each arrow ends
+    where the next one starts; the message names the path."""
+    if not path:
+        raise ValueError("a path must be nonempty")
+    for a in path:
+        check_arrow(a, n)
+    for prev, nxt in zip(path, path[1:]):
+        if arrow_target(prev) != arrow_source(nxt):
+            names = " ".join(map(arrow_name, path))
+            raise ValueError(f"path {names} is not composable")
 
 
 def _support_mask(direct_dims, inverse_dims) -> int:
@@ -149,6 +158,16 @@ def parse_arrow(name: str) -> Arrow:
     return (int(digits), sign)
 
 
+def _entry(x: int | Fraction) -> int | Fraction:
+    """A map entry as stored: an ``int`` when it is integral, so elimination
+    needs no scaling for it; a type but ``int`` or ``Fraction`` raises."""
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if type(x) is not int:
+        raise TypeError(x)
+    return x
+
+
 @dataclass(frozen=True)
 class Representation:
     dims: tuple[int, ...]
@@ -169,13 +188,14 @@ class Representation:
             raise ValueError("an arrow is given two maps")
         pairs = []
         for a in sorted(named, key=_arrow_index):
-            m = tuple(map(tuple, named[a]))
+            try:
+                m = tuple(tuple(map(_entry, row)) for row in named[a])
+            except TypeError:
+                what = f"matrix for {arrow_name(a)}"
+                raise ValueError(f"{what} has an entry not int or Fraction") from None
             rows, cols = dims[arrow_target(a) - 1], dims[arrow_source(a) - 1]
             if len(m) != rows or any(len(row) != cols for row in m):
                 raise ValueError(f"matrix for {arrow_name(a)} is not {rows} x {cols}")
-            if any(type(x) not in (int, Fraction) for row in m for x in row):
-                name = arrow_name(a)
-                raise ValueError(f"matrix for {name} has an entry not int or Fraction")
             if not linalg.is_zero(m):
                 pairs.append((a, m))
         object.__setattr__(self, "maps", tuple(pairs))
@@ -196,8 +216,10 @@ class Representation:
 
     @lazy_attribute
     def integral(self) -> bool:
-        """Whether every map entry is an integer."""
-        return all(x.denominator == 1 for _, m in self.maps for row in m for x in row)
+        """Whether every map entry is an integer: the constructor stores each
+        integral one as an ``int``, so whether no entry is a ``Fraction``."""
+        entries = (x for _, m in self.maps for row in m for x in row)
+        return Fraction not in map(type, entries)
 
     @lazy_attribute
     def mapped(self) -> int:
@@ -221,9 +243,9 @@ class Representation:
     def arrow_table(self) -> tuple[tuple[int, int, tuple, tuple], ...]:
         """Per arrow, indexed like ``arrows(n)``: the 0-based source and
         target vertices, each column's nonzero entries as ``(row, x)`` and
-        each row's negated nonzero entries as ``(column, -x)``.  Integral
-        entries are stored as ``int``.  Built from the stored maps alone: an
-        arrow with none has an empty tuple per column and per row."""
+        each row's negated nonzero entries as ``(column, -x)``, with the
+        stored entries' types.  Built from the stored maps alone: an arrow
+        with none has an empty tuple per column and per row."""
         dims = self.dims
         table = []
         for a in arrows(self.n):
@@ -232,23 +254,18 @@ class Representation:
         for a, m in self.maps:
             j = _arrow_index(a)
             s, t = table[j][:2]
-            entries = [[_exact(x) for x in row] for row in m]
             cols = tuple(
-                tuple((k, row[c]) for k, row in enumerate(entries) if row[c])
+                tuple((k, row[c]) for k, row in enumerate(m) if row[c])
                 for c in range(dims[s])
             )
-            rows = tuple(
-                tuple((k, -x) for k, x in enumerate(row) if x) for row in entries
-            )
+            rows = tuple(tuple((k, -x) for k, x in enumerate(row) if x) for row in m)
             table[j] = (s, t, cols, rows)
         return tuple(table)
 
     def dim(self, v: int) -> int:
         """The dimension at vertex v in 1..n; any other vertex raises
         ``IndexError``."""
-        if v < 1:
-            raise IndexError(f"vertex {v} out of range 1..{self.n}")
-        return self.dims[v - 1]
+        return one_based(self.dims, v, "vertex")
 
     def map(self, a: Arrow) -> Matrix:
         """The map on arrow ``a``: its stored matrix, or zero on an arrow
@@ -277,11 +294,9 @@ def arc_module(arc: Arc, n: int) -> Representation:
     arrow a_{m-1}^- under each above point.
 
     The cache is typed, so a ``bool`` or ``float`` rank never finds the
-    module of the equal ``int`` rank; ``check_rank`` rejects it here, as it
-    does a rank below 1."""
-    check_rank(n)
-    if arc.right > n + 1:
-        raise ValueError(f"{arc} escapes the point range 1..{n + 1}")
+    module of the equal ``int`` rank; ``arcs.check_arc`` rejects it here, as
+    it does a rank below 1 and an arc off the points 1..n+1."""
+    check_arc(arc, n)
     p, q = arc.left, arc.right
     dims = tuple(1 if p <= v <= q - 1 else 0 for v in range(1, n + 1))
     named = {}
@@ -323,9 +338,7 @@ class Morphism:
     def mat(self, v: int) -> Matrix:
         """The matrix at vertex v in 1..n; any other vertex raises
         ``IndexError``."""
-        if v < 1:
-            raise IndexError(f"vertex {v} out of range 1..{len(self.mats)}")
-        return self.mats[v - 1]
+        return one_based(self.mats, v, "vertex")
 
     def is_valid(self) -> bool:
         """Every square commutes: each vertex matrix is target dim x source
@@ -541,15 +554,7 @@ def path_action_is_zero(rep: Representation, path) -> bool:
     one of its arrows has a zero map (read off ``rep.mapped``), otherwise by
     multiplying the maps."""
     path = list(path)
-    if not path:
-        raise ValueError("need a nonempty path")
-    for a in path:
-        check_arrow(a, rep.n)
-    for prev, nxt in zip(path, path[1:]):
-        if arrow_target(prev) != arrow_source(nxt):
-            raise ValueError(
-                f"path not composable: {arrow_name(prev)} then {arrow_name(nxt)}"
-            )
+    check_path(path, rep.n)
     if any(not rep.mapped >> _arrow_index(a) & 1 for a in path):
         return True
     # every arrow is mapped, so every vertex on the path has a nonzero

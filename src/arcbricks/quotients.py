@@ -18,16 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arcs import Arc, iter_compatible_index_sets, nad_table
-from .quiver import (
-    Arrow,
-    arc_module,
-    arrow_name,
-    arrow_source,
-    arrow_target,
-    check_arrow,
-    parse_arrow,
-    path_action_is_zero,
-)
+from .quiver import Arrow, arc_module, check_path, parse_arrow, path_action_is_zero
 
 Path = tuple[Arrow, ...]
 
@@ -40,14 +31,7 @@ class MonomialIdealSpec:
         generators = tuple(tuple(map(tuple, path)) for path in self.generators)
         object.__setattr__(self, "generators", generators)
         for path in generators:
-            if not path:
-                raise ValueError("ideal generators must be nonempty paths")
-            for a in path:
-                check_arrow(a)
-            for prev, nxt in zip(path, path[1:]):
-                if arrow_target(prev) != arrow_source(nxt):
-                    names = " ".join(arrow_name(a) for a in path)
-                    raise ValueError(f"generator {names} is not composable")
+            check_path(path)
 
 
 def parse_ideal(tokens: list[str]) -> MonomialIdealSpec:

@@ -18,7 +18,8 @@ A graph map pairs a quotient factorization of the source arc with a
 submodule factorization of the target arc that has the same middle, so the
 graph maps are the intersection of the two sets, and counting them computes
 the hom dimension combinatorially, which the linear-algebra route must
-reproduce.  ``materialize`` makes a graph map a concrete ``Morphism``.
+reproduce.  A letter is written as its arrow ``(i, sign)``, so this module
+needs no module of the linear-algebra route.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from __future__ import annotations
 from functools import cache
 
 from .arcs import Arc
-from .quiver import Arrow, Morphism, arc_module
 
 QUOTIENT = "quotient"
 SUBMODULE = "submodule"
 
-Middle = tuple[int, tuple[Arrow, ...]]  # (first vertex, letters)
+Middle = tuple[int, tuple[tuple[int, int], ...]]  # (first vertex, letters)
 
 
 @cache
@@ -60,19 +60,3 @@ def graph_maps(alpha: Arc, beta: Arc) -> list[Middle]:
     """The middle of every graph map from alpha to beta, sorted; a new list
     per call."""
     return sorted(factorizations(alpha, QUOTIENT) & factorizations(beta, SUBMODULE))
-
-
-def materialize(alpha: Arc, beta: Arc, middle: Middle, n: int) -> Morphism:
-    """The graph map from alpha to beta with this middle as a concrete
-    morphism: the identity over the middle's vertex interval and zero
-    elsewhere, with ``int`` entries, so ``Morphism.is_valid`` evaluates the
-    integer hom rows on them in ints."""
-    source = arc_module(alpha, n)
-    target = arc_module(beta, n)
-    first, letters = middle
-    last = first + len(letters)
-    mats = tuple(
-        ((1,),) if first <= v <= last else ((0,) * source.dim(v),) * target.dim(v)
-        for v in range(1, n + 1)
-    )
-    return Morphism(source, target, mats)

@@ -314,13 +314,16 @@ def test_enumerate_arcs_returns_the_arcs_diagrams_use():
     assert double_diagram(P("2143")).arc(1) is enumerate_arcs(3)[0]
 
 
-@pytest.mark.parametrize("i", [0, -1, 3])
+@pytest.mark.parametrize("i", [0, -1, 3, True, 1.0])
 def test_a_diagram_position_outside_1_to_n_raises(i):
-    # position 0 read the last entry, -1 the one before it
+    # position 0 read the last entry, -1 the one before it; past the end
+    # raised a bare "tuple index out of range", 1.0 raised TypeError and
+    # True read position 1
     diagram = double_diagram(P("213"))
-    with pytest.raises(IndexError):
+    message = rf"position {i!r} out of range 1\.\.2"
+    with pytest.raises(IndexError, match=message):
         diagram.arc(i)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=message):
         diagram.color(i)
 
 

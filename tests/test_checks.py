@@ -75,8 +75,10 @@ def test_duplicated_graph_maps_fail_criterion_03(monkeypatch):
 def test_graph_maps_one_vertex_too_wide_fail_criterion_03(monkeypatch):
     # identity on every vertex both modules support: a commuting square
     # breaks wherever only one module carries an arrow
+    materialize = checks.materialize  # the patch below replaces it
+
     def too_wide(alpha, beta, middle, n):
-        f = strings.materialize(alpha, beta, middle, n)
+        f = materialize(alpha, beta, middle, n)
         mats = tuple(
             linalg.identity(1) if f.source.dim(v) == f.target.dim(v) == 1 else m
             for v, m in enumerate(f.mats, start=1)

@@ -83,3 +83,11 @@ def test_each_module_loads_exactly_its_import_closure():
         "arcbricks.lazy",
         "arcbricks.permutations",
     ]
+    # the graph-map route: string combinatorics, no quiver or linear algebra
+    assert loaded["arcbricks.strings"] == [
+        "arcbricks",
+        "arcbricks.arcs",
+        "arcbricks.lazy",
+        "arcbricks.permutations",
+        "arcbricks.strings",
+    ]

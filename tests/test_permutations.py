@@ -136,10 +136,12 @@ def test_identity_and_all_permutations_need_an_int_rank_of_at_least_1(n):
         all_permutations(n)
 
 
-@pytest.mark.parametrize("i", [0, -1, 4])
+@pytest.mark.parametrize("i", [0, -1, 4, True, 1.0])
 def test_an_entry_outside_1_to_n_plus_1_raises(i):
-    # w[0] read the last entry, w[-1] the one before it
-    with pytest.raises(IndexError):
+    # w[0] read the last entry, w[-1] the one before it; past the end
+    # raised a bare "tuple index out of range", 1.0 raised TypeError and
+    # True read position 1
+    with pytest.raises(IndexError, match=rf"position {i!r} out of range 1\.\.3"):
         Permutation((2, 1, 3))[i]
 
 

@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from arcbricks import linalg, quiver
-from arcbricks.arcs import Arc, double_diagram, enumerate_arcs, restrict_green
+from arcbricks.arcs import (
+    Arc,
+    arc_to_join_irreducible,
+    double_diagram,
+    enumerate_arcs,
+    restrict_green,
+)
 from arcbricks.permutations import all_permutations
 from arcbricks.quiver import (
     Morphism,
@@ -334,6 +340,18 @@ def test_a_path_is_checked_before_its_zero_maps():
         path_action_is_zero(rep, [(2, 1), (3, 1)])
 
 
+def test_an_arc_off_its_rank_gets_one_message_from_both_callers(clear_caches):
+    # arc_module and arc_to_join_irreducible each made this check
+    for arc, n, message in (
+        (Arc(1, 4), 2, r"arc\(1,4;2v;3v\) escapes the point range 1\.\.3"),
+        (Arc(1, 2), 0, "rank must be an integer >= 1, got 0"),
+        (Arc(1, 2), True, "rank must be an integer >= 1, got True"),
+    ):
+        for caller in (arc_module, arc_to_join_irreducible):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                caller(arc, n)
+
+
 def test_is_isomorphic():
     m = arc_module(A13U, 2)
     assert is_isomorphic(m, m)
@@ -488,14 +506,17 @@ def test_maps_on_arrows_outside_the_quiver_are_rejected():
         Representation((1, 1), {(5, -1): ((1,),)})
 
 
-@pytest.mark.parametrize("v", [0, -1, 3])
+@pytest.mark.parametrize("v", [0, -1, 3, True, 1.0])
 def test_a_vertex_outside_1_to_n_raises(v):
-    # vertex 0 read the last vertex, -1 the one before it
+    # vertex 0 read the last vertex, -1 the one before it; past the end
+    # raised a bare "tuple index out of range", 1.0 raised TypeError and
+    # True read vertex 1
     m = arc_module(A13D, 2)
     f = hom_basis(m, m)[0]
-    with pytest.raises(IndexError):
+    message = rf"vertex {v!r} out of range 1\.\.2"
+    with pytest.raises(IndexError, match=message):
         m.dim(v)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=message):
         f.mat(v)
 
 
@@ -552,6 +573,29 @@ def test_hom_bases_are_pinned():
                 digest.update(repr(b.mats).encode())
             digest.update(b"|")
     assert digest.hexdigest() == HOM_BASES_N4_SHA256
+
+
+def entry_types(rep):
+    return [type(x) for _, m in rep.maps for row in m for x in row]
+
+
+def test_integral_entries_are_stored_as_ints():
+    # one module given Fraction entries and given int entries wherever they
+    # are integral: the constructor stores an int for each integral entry
+    one, half = Fraction(1), Fraction(1, 2)
+    for tail in ({}, {(2, -1): ((half,), (Fraction(0),))}):
+        given = {(1, 1): ((one,), (Fraction(-2),)), (1, -1): ((Fraction(0), one),)}
+        as_fractions = Representation((1, 2, 1), {**given, **tail})
+        given = {(1, 1): ((1,), (-2,)), (1, -1): ((0, 1),)}
+        as_ints = Representation((1, 2, 1), {**given, **tail})
+        assert as_fractions == as_ints
+        assert hash(as_fractions) == hash(as_ints)
+        assert as_fractions.to_json() == as_ints.to_json()
+        expected = [int] * 4 + [Fraction, int] * bool(tail)
+        assert entry_types(as_fractions) == entry_types(as_ints) == expected
+        assert as_fractions.integral == as_ints.integral == (not tail)
+        assert repr(as_fractions.arrow_table) == repr(as_ints.arrow_table)
+    assert "Fraction" not in repr(arc_module(A13U, 2))
 
 
 def test_representation_hash_is_kept_and_agrees_with_equality():

@@ -20,12 +20,28 @@ from arcbricks.quotients import (
 
 
 def test_ideal_spec_validation():
-    with pytest.raises(ValueError, match="generator a1 a1 is not composable"):
+    with pytest.raises(ValueError, match="path a1 a1 is not composable"):
         MonomialIdealSpec((((1, 1), (1, 1)),))
     with pytest.raises(ValueError):
         MonomialIdealSpec(((),))
     spec = parse_ideal(["a1-", "a2 a3"])
     assert spec.generators == (((1, -1),), ((2, 1), (3, 1)))
+
+
+def test_a_path_gets_one_message_from_both_callers():
+    # MonomialIdealSpec and path_action_is_zero each checked a path, with
+    # different messages
+    rep = arc_module(Arc(1, 4), 3)
+    for path, message in (
+        ((), "a path must be nonempty"),
+        (((1, 1), (1, 1)), "path a1 a1 is not composable"),
+        (((1, -1), (2, 1), (2, -1)), "path a1- a2 a2- is not composable"),
+        (((1, 1), (1, 0)), r"\(1, 0\) is not an arrow"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            MonomialIdealSpec((path,))
+        with pytest.raises(ValueError, match=message):
+            path_action_is_zero(rep, path)
 
 
 @pytest.mark.parametrize("arrow", [(1, 0), (0, 1), (1, 2)])

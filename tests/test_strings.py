@@ -4,6 +4,7 @@ import pytest
 
 from arcbricks import linalg
 from arcbricks.arcs import Arc, enumerate_arcs
+from arcbricks.checks import materialize
 from arcbricks.quiver import arc_module, hom_dim
 from arcbricks.strings import (
     QUOTIENT,
@@ -11,7 +12,6 @@ from arcbricks.strings import (
     factorizations,
     graph_map_count,
     graph_maps,
-    materialize,
 )
 
 A13U = Arc(1, 3, frozenset({2}))
