@@ -297,19 +297,21 @@ def enumerate_arcs(n: int) -> list[Arc]:
 
 
 @lru_cache(maxsize=None, typed=True)
-def nad_table(n: int) -> tuple[tuple[Arc, ...], tuple[int, ...]]:
-    """The arcs on 1..n+1 and, per arc, the bitmask of the arcs it can share
-    a noncrossing diagram with: the compatibility graph whose cliques are
-    the noncrossing diagrams.  Built once per n, in a typed cache, so a
-    ``bool`` or ``float`` rank reaches ``enumerate_arcs``'s check instead of
-    the table of the equal ``int``."""
+def arc_table(n: int) -> tuple[tuple[Arc, ...], dict[Arc, int], tuple[int, ...]]:
+    """The arcs on 1..n+1 in ``enumerate_arcs`` order; ``bit``, the one map
+    of an arc to its bit ``1 << index``, which every per-n arc bitmask reads;
+    and per arc, the mask of the arcs it can share a noncrossing diagram
+    with.  Built once per n, in a typed cache, so a ``bool`` or ``float``
+    rank reaches ``enumerate_arcs``'s check instead of the table of the
+    equal ``int``."""
     arcs = tuple(enumerate_arcs(n))
+    bit = {a: 1 << j for j, a in enumerate(arcs)}
     masks = [0] * len(arcs)
     for (i, a), (j, b) in itertools.combinations(enumerate(arcs), 2):
         if _compatible(a, b):
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return arcs, tuple(masks)
+            masks[i] |= bit[b]
+            masks[j] |= bit[a]
+    return arcs, bit, tuple(masks)
 
 
 def iter_compatible_index_sets(masks: list[int], allowed: int | None = None):
@@ -337,5 +339,5 @@ def iter_compatible_index_sets(masks: list[int], allowed: int | None = None):
 
 def enumerate_nad(n: int) -> list[frozenset[Arc]]:
     """All noncrossing arc diagrams on 1..n+1, one per permutation."""
-    arcs, masks = nad_table(n)
+    arcs, _, masks = arc_table(n)
     return [frozenset(arcs[j] for j in idx) for idx in iter_compatible_index_sets(masks)]

@@ -21,10 +21,10 @@ from typing import Any, Callable, Iterator
 from .arcs import (
     Arc,
     ColoredDiagram,
+    arc_table,
     check_nad,
     diagram_to_permutation,
     double_diagram,
-    enumerate_arcs,
     enumerate_nad,
     is_crossing,
     iter_compatible_index_sets,
@@ -111,18 +111,19 @@ class Criterion:
 @cache
 def _hom_table(n: int) -> tuple[tuple[int, ...], ...]:
     """hom_dim between the arc modules of every ordered pair of arcs,
-    indexed like ``enumerate_arcs(n)``; built on first use, once per n."""
-    modules = [arc_module(arc, n) for arc in enumerate_arcs(n)]
+    indexed like ``arc_table(n)``'s arcs; built on first use, once per n."""
+    modules = [arc_module(arc, n) for arc in arc_table(n)[0]]
     return tuple(tuple(hom_dim(a, b) for b in modules) for a in modules)
 
 
 def _bijection_counts(n: int) -> Iterator[Case]:
     """Distinct green diagrams over W number (n+1)! and pass the diagram test."""
+    bit = arc_table(n)[1]
     greens = set()
     for w in all_permutations(n):
         green = restrict_green(double_diagram(w))
         yield f"w={w} green restriction is noncrossing", check_nad(green), True
-        greens.add(green)
+        greens.add(sum(bit[arc] for arc in green))
     yield "distinct green diagrams", len(greens), math.factorial(n + 1)
 
 
@@ -151,7 +152,7 @@ def _brick_classification(n: int) -> Iterator[Case]:
     under its first interior point carry 1, and each arc module with a
     vertex next to its support is no brick once summed with the simple
     there."""
-    arcs = enumerate_arcs(n)
+    arcs = arc_table(n)[0]
     yield "arcs", len(arcs), 2 ** (n + 1) - n - 2
     single = sum(1 for w in all_permutations(n) if len(descents(w)) == 1)
     yield "single-descent words", single, len(arcs)
@@ -203,7 +204,7 @@ def _independent_morphisms(alpha: Arc, beta: Arc, middles, n: int) -> bool:
 def _graph_maps_equal_linear_algebra(n: int) -> Iterator[Case]:
     """Graph maps form a basis of Hom on every ordered arc pair: they are
     independent morphisms, as many as the hom dimension."""
-    arcs = enumerate_arcs(n)
+    arcs = arc_table(n)[0]
     homs = _hom_table(n)
     for i, a in enumerate(arcs):
         for j, b in enumerate(arcs):
@@ -216,7 +217,7 @@ def _graph_maps_equal_linear_algebra(n: int) -> Iterator[Case]:
 def _orthogonality_iff_noncrossing(n: int) -> Iterator[Case]:
     """Hom-orthogonality coincides with the noncrossing conditions, and the
     shared-endpoint case split behaves as stated."""
-    arcs = enumerate_arcs(n)
+    arcs = arc_table(n)[0]
     homs = _hom_table(n)
     for i, a in enumerate(arcs):
         for j in range(i + 1, len(arcs)):
@@ -234,25 +235,23 @@ def _semibrick_oracle(n: int) -> Iterator[Case]:
     """The pairwise hom-orthogonal arc sets, read off the hom table, are
     exactly the (n+1)! green diagrams; the modules of each green diagram
     form a semibrick, and the modules of each pair of distinct arcs that
-    fails ``check_nad`` do not.  Arc sets are compared as bitmasks over
-    ``enumerate_arcs(n)``; arc names are decoded only for a mismatch."""
-    arcs = enumerate_arcs(n)
+    fails ``check_nad`` do not.  Arc sets are compared as ``arc_table``
+    bitmasks; arc names are decoded only for a mismatch."""
+    arcs, bit, _ = arc_table(n)
     homs = _hom_table(n)
-    size = len(arcs)
-    bits = {arc: 1 << j for j, arc in enumerate(arcs)}
     masks = [
-        sum(1 << j for j in range(size) if j != i and homs[i][j] == homs[j][i] == 0)
-        for i in range(size)
+        sum(bit[b] for j, b in enumerate(arcs) if j != i and homs[i][j] == homs[j][i] == 0)
+        for i in range(len(arcs))
     ]
     orthogonal = {
-        sum(1 << j for j in idx) for idx in iter_compatible_index_sets(masks)
+        sum(bit[arcs[j]] for j in idx) for idx in iter_compatible_index_sets(masks)
     }
     greens = set()
     for w in all_permutations(n):
         green = restrict_green(double_diagram(w))
         modules = [arc_module(arc, n) for arc in green]
         yield f"w={w} green modules form a semibrick", is_semibrick(modules), True
-        greens.add(sum(bits[arc] for arc in green))
+        greens.add(sum(bit[arc] for arc in green))
     for i, a in enumerate(arcs):
         for b in arcs[i + 1 :]:
             if not check_nad([a, b]):
@@ -263,7 +262,7 @@ def _semibrick_oracle(n: int) -> Iterator[Case]:
         ("orthogonal sets that are not green diagrams", orthogonal - greens),
         ("green diagrams that are not orthogonal", greens - orthogonal),
     ):
-        named = ([str(arcs[j]) for j in range(size) if m >> j & 1] for m in extra)
+        named = ([str(a) for a in arcs if m & bit[a]] for m in extra)
         yield label, sorted(sorted(s) for s in named), []
 
 
@@ -333,7 +332,7 @@ def _quotient_families(n: int) -> Iterator[Case]:
     yield "two-cycle filter size", len(filtered), math.factorial(n + 1)
     yield "two-cycle filter is all of nad", set(filtered) == set(enumerate_nad(n)), True
     lin, rad2 = linear_ideal(n), radical_square_ideal(n)
-    for arc in enumerate_arcs(n):
+    for arc in arc_table(n)[0]:
         killed = arc_killed_by(arc, lin, n), arc_killed_by(arc, rad2, n)
         yield f"{arc} right-arc predicate", is_right_arc(arc), killed[0]
         yield f"{arc} alternating predicate", is_alternating_arc(arc), killed[1]

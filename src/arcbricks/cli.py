@@ -94,17 +94,16 @@ def cmd_map(args) -> int:
 def cmd_mutate(args) -> int:
     w = _load_permutation(args)
     diagram = double_diagram(w)
-    # the range first, so that a bad position exits 3 naming the range
-    if not 1 <= args.i <= args.n:
-        message = f"position {args.i} out of range 1..{args.n}"
-        raise CliError(EXIT_PRECONDITION, message)
+    try:  # a bad position exits 3 naming the range 1..n
+        color = diagram.color(args.i)
+    except IndexError as exc:
+        raise CliError(EXIT_PRECONDITION, str(exc))
     # the pivot's color fixes the direction, so --dir is checked against it
     needed = GREEN if args.dir == "left" else RED
-    if diagram.color(args.i) != needed:
+    if color != needed:
         raise CliError(
             EXIT_PRECONDITION,
-            f"{args.dir} mutation needs {needed} at position {args.i}, "
-            f"found {diagram.color(args.i)}",
+            f"{args.dir} mutation needs {needed} at position {args.i}, found {color}",
         )
     try:
         mutated = mutate_dad(diagram, args.i)

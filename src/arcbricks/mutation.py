@@ -29,8 +29,8 @@ from .arcs import (
     Arc,
     ColoredDiagram,
     _interned_arc,
+    arc_table,
     double_diagram,
-    enumerate_arcs,
 )
 from .linalg import echelon, identity
 from .permutations import Permutation, all_permutations, left_multiply_simple
@@ -47,6 +47,7 @@ from .strings import graph_map_count
 
 ShiftedModule = tuple[Representation, int]
 TwoTermCollection = tuple[ShiftedModule, ...]
+SHIFT = {GREEN: 0, RED: 1}  # the shift of an arc module in psi, by the arc's color
 
 
 class MutationError(ValueError):
@@ -110,7 +111,7 @@ def psi(diagram: ColoredDiagram) -> TwoTermCollection:
     """Arc modules of the diagram: green members at shift 0, red at shift 1."""
     n = diagram.n
     return tuple(
-        (arc_module(arc, n), 0 if color == GREEN else 1)
+        (arc_module(arc, n), SHIFT[color])
         for arc, color in diagram.entries
     )
 
@@ -157,15 +158,13 @@ def smc_axiom_check(members: TwoTermCollection) -> bool:
 
 @cache
 def _graph_map_out_masks(n: int, count) -> tuple[dict[Arc, int], dict[Arc, int]]:
-    """Per arc on 1..n+1, its bit (its index in ``enumerate_arcs(n)``) and its
-    out-mask: the bits of the arcs it has a graph map to, by ``count``.
+    """``arc_table(n)``'s arc bits and, per arc on 1..n+1, its out-mask: the
+    bits of the arcs it has a graph map to, by ``count``.
 
     Keyed on the counting function as well as n, so a table built with one
     ``graph_map_count`` is never read for another."""
-    arcs = enumerate_arcs(n)
-    bits = {a: 1 << j for j, a in enumerate(arcs)}
-    out = {a: sum(bits[b] for b in arcs if count(a, b) != 0) for a in arcs}
-    return bits, out
+    arcs, bit, _ = arc_table(n)
+    return bit, {a: sum(bit[b] for b in arcs if count(a, b) != 0) for a in arcs}
 
 
 def smc_leq(lower: ColoredDiagram, upper: ColoredDiagram) -> bool:
@@ -173,11 +172,11 @@ def smc_leq(lower: ColoredDiagram, upper: ColoredDiagram) -> bool:
     to a red arc of the upper one.  Must agree with the weak order."""
     if lower.n != upper.n:
         raise ValueError("rank mismatch")
-    bits, out = _graph_map_out_masks(lower.n, graph_map_count)
+    bit, out = _graph_map_out_masks(lower.n, graph_map_count)
     reach = 0
     for g in lower.green_arcs():
         reach |= out[g]
-    return not any(reach & bits[r] for r in upper.red_arcs())
+    return not any(reach & bit[r] for r in upper.red_arcs())
 
 
 def _extension_middle(
@@ -321,7 +320,7 @@ def hasse_json(n: int) -> dict:
             {
                 "permutation": str(d.w),
                 "arcs": [
-                    {**arc.to_json(), "color": color, "shift": 0 if color == GREEN else 1}
+                    {**arc.to_json(), "color": color, "shift": SHIFT[color]}
                     for arc, color in d.entries
                 ],
             }

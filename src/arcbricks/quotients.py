@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arcs import Arc, iter_compatible_index_sets, nad_table
+from .arcs import Arc, arc_table, iter_compatible_index_sets
 from .quiver import Arrow, arc_module, check_path, parse_arrow, path_action_is_zero
 
 Path = tuple[Arrow, ...]
@@ -93,17 +93,17 @@ FAMILIES = {"nad": lambda arc: True, "rnad": is_right_arc, "anad": is_alternatin
 def _family_index_sets(
     n: int, family: str | MonomialIdealSpec
 ) -> tuple[tuple[Arc, ...], Iterator[tuple[int, ...]]]:
-    """The arcs of ``nad_table(n)`` and the family's diagrams as index tuples:
+    """The arcs of ``arc_table(n)`` and the family's diagrams as index tuples:
     a closed family named in ``FAMILIES``, or the diagrams whose arc modules
     an ideal kills."""
-    arcs, masks = nad_table(n)
+    arcs, bit, masks = arc_table(n)
     if isinstance(family, MonomialIdealSpec):
         keep = lambda arc: arc_killed_by(arc, family, n)
     elif family in FAMILIES:
         keep = FAMILIES[family]
     else:
         raise ValueError(f"unknown family {family!r}")
-    allowed = sum(1 << j for j, arc in enumerate(arcs) if keep(arc))
+    allowed = sum(bit[arc] for arc in arcs if keep(arc))
     return arcs, iter_compatible_index_sets(masks, allowed)
 
 

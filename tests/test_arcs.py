@@ -11,6 +11,7 @@ from arcbricks.arcs import (
     Arc,
     ColoredDiagram,
     _interned_arc,
+    arc_table,
     arc_to_join_irreducible,
     check_nad,
     diagram_to_permutation,
@@ -20,7 +21,6 @@ from arcbricks.arcs import (
     is_crossing,
     iter_compatible_index_sets,
     joins_without_each,
-    nad_table,
     restrict_green,
 )
 from arcbricks.permutations import (
@@ -146,9 +146,18 @@ def test_is_crossing_matches_the_three_case_reference():
             assert is_crossing(a, b) == reference_is_crossing(a, b), (a, b)
 
 
-def test_nad_table_is_the_pairwise_check_nad_relation():
+def test_arc_table_bits_are_the_enumerate_arcs_indices():
+    for n in range(1, 6):
+        bit = arc_table(n)[1]
+        listed = enumerate_arcs(n)
+        assert list(bit) == listed
+        for a in listed:
+            assert bit[a] == 1 << listed.index(a)
+
+
+def test_arc_table_is_the_pairwise_check_nad_relation():
     for n in range(1, 5):
-        arcs, masks = nad_table(n)
+        arcs, _, masks = arc_table(n)
         assert list(arcs) == enumerate_arcs(n)
         for i, a in enumerate(arcs):
             assert not masks[i] >> i & 1
@@ -158,12 +167,12 @@ def test_nad_table_is_the_pairwise_check_nad_relation():
                     assert bool(masks[i] >> j & 1) == check_nad([a, b]), (a, b)
 
 
-def test_nad_table_is_built_once_per_n(clear_caches):
+def test_arc_table_is_built_once_per_n(clear_caches):
     assert len(enumerate_nad(5)) == math.factorial(6)
     for family in FAMILIES:
         family_count(5, family)
     family_count(5, radical_square_ideal(5))
-    info = nad_table.cache_info()
+    info = arc_table.cache_info()
     assert (info.misses, info.hits) == (1, len(FAMILIES) + 1)
 
 
@@ -176,11 +185,11 @@ def test_enumerate_arcs_needs_an_int_rank_of_at_least_1(n):
         family_count(n, "nad")
 
 
-def test_a_warm_nad_table_never_answers_a_bool_rank(clear_caches):
+def test_a_warm_arc_table_never_answers_a_bool_rank(clear_caches):
     # the key True equals 1, so an untyped cache returned the rank-1 table
-    assert len(nad_table(1)[0]) == 1
+    assert len(arc_table(1)[0]) == 1
     with pytest.raises(ValueError, match="rank must be an integer >= 1"):
-        nad_table(True)
+        arc_table(True)
 
 
 def test_check_nad_examples():
@@ -467,16 +476,16 @@ def compatible_subsets(masks, allowed):
 def family_pools(n):
     """``allowed`` as each arc family passes it: none, then the ``FAMILIES``
     masks and the radical-square ideal's."""
-    arcs, _ = nad_table(n)
+    arcs, bit, _ = arc_table(n)
     ideal = radical_square_ideal(n)
     keeps = [*FAMILIES.values(), lambda arc: arc_killed_by(arc, ideal, n)]
-    pools = [sum(1 << j for j, a in enumerate(arcs) if keep(a)) for keep in keeps]
+    pools = [sum(bit[a] for a in arcs if keep(a)) for keep in keeps]
     return [None, *pools]
 
 
 def test_compatible_walk_matches_the_stack_walk():
     for n in range(1, 7):
-        _, masks = nad_table(n)
+        _, _, masks = arc_table(n)
         for allowed in family_pools(n):
             walk = list(iter_compatible_index_sets(masks, allowed))
             assert walk == list(reference_compatible_index_sets(masks, allowed))
@@ -485,7 +494,7 @@ def test_compatible_walk_matches_the_stack_walk():
 def test_compatible_walk_lists_every_compatible_subset_in_order():
     # a loop at j is a bit of masks[j] not above j, which the walk must not read
     for n in range(1, 4):
-        _, masks = nad_table(n)
+        _, _, masks = arc_table(n)
         looped = [mask | 1 << j for j, mask in enumerate(masks)]
         for allowed in family_pools(n):
             expected = compatible_subsets(masks, allowed)

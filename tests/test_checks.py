@@ -109,6 +109,28 @@ def test_a_module_off_the_mesh_relations_fails_criterion_02(clear_caches, monkey
     )
 
 
+def test_one_orthogonal_pair_read_as_non_orthogonal_fails_criterion_05(monkeypatch):
+    hom_table = checks._hom_table
+
+    def one_pair_off(n):
+        table = arcs.arc_table(n)[0]
+        i, j = table.index(arcs.Arc(1, 2)), table.index(arcs.Arc(2, 3))
+        homs = [list(row) for row in hom_table(n)]
+        assert homs[i][j] == homs[j][i] == 0
+        homs[i][j] = 1
+        return tuple(map(tuple, homs))
+
+    monkeypatch.setattr(checks, "_hom_table", one_pair_off)
+    cases = {label: (got, expected) for label, got, expected in checks._semibrick_oracle(3)}
+    assert cases["orthogonal sets"] == (22, 24)
+    assert cases["orthogonal sets that are not green diagrams"] == ([], [])
+    assert cases["green diagrams that are not orthogonal"] == (
+        [["arc(1,2)", "arc(2,3)"], ["arc(1,2)", "arc(2,3)", "arc(3,4)"]],
+        [],
+    )
+    assert not run_criterion(criterion("05"), max_n=3).passed
+
+
 def test_a_repeated_member_fails_the_axioms_of_criterion_07(monkeypatch):
     monkeypatch.setattr(checks, "psi", lambda d: (mutation.psi(d)[0],) * d.n)
     result = run_criterion(criterion("07"), max_n=3)
@@ -219,7 +241,7 @@ def test_clear_caches_empties_every_package_cache(clear_caches):
         quiver.ext1_dim,
         mutation._mutate_member,
         checks._hom_table,
-        arcs.nad_table,
+        arcs.arc_table,
         arcs._interned_arc,
         arcs.arc_to_join_irreducible,
         mutation._graph_map_out_masks,

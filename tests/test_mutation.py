@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from arcbricks import linalg, mutation
-from arcbricks.arcs import Arc, double_diagram, enumerate_arcs
+from arcbricks.arcs import Arc, arc_table, double_diagram, enumerate_arcs
 from arcbricks.mutation import (
     MutationError,
     _extension_middle,
@@ -37,6 +37,7 @@ from arcbricks.quiver import (
     is_isomorphic,
     morphism_parts,
 )
+from arcbricks.strings import graph_map_count
 
 from expected_diagrams import MUTATION_EDGES_RANK3
 
@@ -284,6 +285,15 @@ def test_smc_leq_examples():
         assert smc_leq(d, d)
     with pytest.raises(ValueError):
         smc_leq(D("132"), D("1234"))
+
+
+def test_graph_map_out_masks_read_the_arc_table_bits():
+    for n in range(1, 5):
+        arcs, bit, _ = arc_table(n)
+        table_bit, out = mutation._graph_map_out_masks(n, graph_map_count)
+        assert table_bit is bit
+        for a, b in itertools.product(arcs, repeat=2):
+            assert (out[a] & bit[b] != 0) == (graph_map_count(a, b) != 0), (a, b)
 
 
 def test_smc_leq_matches_weak_order():
