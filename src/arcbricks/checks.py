@@ -381,7 +381,7 @@ def run_criterion(criterion: Criterion, max_n: int | None = None) -> CheckResult
                 cases += 1
                 if got != expected:
                     failures.append(f"n={n} {label}: got {got}, expected {expected}")
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, IndexError, ArithmeticError) as exc:
             failures.append(f"n={n} raised {type(exc).__name__}: {exc}")
     if not ranks:
         detail = f"skipped (range starts at n={criterion.ranks[0]})"

@@ -33,7 +33,7 @@ from .arcs import (
     double_diagram,
 )
 from .linalg import echelon, identity
-from .permutations import Permutation, all_permutations, left_multiply_simple
+from .permutations import Permutation, all_permutations, left_multiply_simple, one_based
 from .quiver import (
     Representation,
     arc_module,
@@ -50,9 +50,13 @@ TwoTermCollection = tuple[ShiftedModule, ...]
 SHIFT = {GREEN: 0, RED: 1}  # the shift of an arc module in psi, by the arc's color
 
 
+def is_shift(shift) -> bool:  # the int 0 or 1, and neither False nor 1.0
+    return type(shift) is int and shift in (0, 1)
+
+
 class MutationError(ValueError):
-    """A mutation precondition failed (bad position, bad shift, or a glued
-    module that is not the extension middle)."""
+    """A mutation failed: a shift precondition, a glued module that is not
+    the extension middle, or an Ext or Hom dimension other than 0 or 1."""
 
 
 def half_twist(pivot: Arc, other: Arc, twist: str = "left") -> Arc:
@@ -85,13 +89,10 @@ def half_twist(pivot: Arc, other: Arc, twist: str = "left") -> Arc:
 
 
 def mutate_dad(diagram: ColoredDiagram, i: int) -> ColoredDiagram:
-    """Mutate at position i: the pivot arc keeps its place and flips color,
-    the neighbors are half-twisted around it and recolored by the new
-    adjacent comparisons.  The pivot's color fixes the direction: a green
-    pivot mutates left and a red one right."""
-    n = diagram.n
-    if not 1 <= i <= n:
-        raise MutationError(f"position {i} out of range 1..{n}")
+    """Mutate at position i, read by ``one_based``: the pivot arc keeps its
+    place and flips color, the neighbors are half-twisted around it and
+    recolored by the new adjacent comparisons.  The pivot's color fixes the
+    direction: a green pivot mutates left and a red one right."""
     pivot_color = diagram.color(i)
     direction = "left" if pivot_color == GREEN else "right"
     w = diagram.w
@@ -101,7 +102,7 @@ def mutate_dad(diagram: ColoredDiagram, i: int) -> ColoredDiagram:
     if i - 1 >= 1:
         new_arc = half_twist(pivot, diagram.arc(i - 1), twist=direction)
         entries[i - 2] = (new_arc, GREEN if w[i - 1] > w[i + 1] else RED)
-    if i + 1 <= n:
+    if i < diagram.n:
         new_arc = half_twist(pivot, diagram.arc(i + 1), twist=direction)
         entries[i] = (new_arc, GREEN if w[i] > w[i + 2] else RED)
     return ColoredDiagram.from_entries(entries)
@@ -120,8 +121,8 @@ def smc_axiom_check(members: TwoTermCollection) -> bool:
     """The collection axioms for a semibrick pair (Asai, "Semibricks", IMRN
     2020, arXiv:1610.05860), with the basis proxy for generation.
 
-    The members fix the rank n: they are n modules of one rank n, at shift 0
-    (tops) or 1 (bottoms); an empty collection has no rank and fails.
+    The members fix the rank n: n modules of rank n, each at the ``int``
+    shift 0 (top) or 1 (bottom); an empty collection has no rank and fails.
     sm1, sm2: tops and bottoms are each a semibrick.  sm3: every top X and
     bottom Y have Hom(X, Y[1][k]) = 0 for k = -1, 0 (Koenig-Yang), that is
     Hom(X, Y) = Ext^1(X, Y) = 0; such a Hom from a bottom to a top is
@@ -133,9 +134,7 @@ def smc_axiom_check(members: TwoTermCollection) -> bool:
     n = len(members)
     tops = [m for m, shift in members if shift == 0]
     bottoms = [m for m, shift in members if shift == 1]
-    if not members or len(tops) + len(bottoms) != n:
-        return False
-    if any(m.n != n for m, _ in members):
+    if not members or not all(is_shift(s) and m.n == n for m, s in members):
         return False
     if not (is_semibrick(tops) and is_semibrick(bottoms)):
         return False
@@ -213,19 +212,17 @@ def _extension_middle(
 
 
 def mutate_smc_collection(members: TwoTermCollection, i: int) -> TwoTermCollection:
-    """Module-level left mutation at position i (1-based).
+    """Module-level left mutation at position i, read by ``one_based``.
 
-    Every member must sit at shift 0 or 1.  The pivot must sit at shift 0
-    and moves to shift 1; every other member is mutated against it by
-    ``_mutate_member``.
+    Every member must sit at the ``int`` shift 0 or 1.  The pivot must sit
+    at shift 0 and moves to shift 1; every other member is mutated against
+    it by ``_mutate_member``.
     """
     members = tuple(members)
-    if not 1 <= i <= len(members):
-        raise MutationError(f"position {i} out of range 1..{len(members)}")
+    pivot, pivot_shift = one_based(members, i, "position")
     for j, (_, shift) in enumerate(members, start=1):
-        if shift not in (0, 1):
+        if not is_shift(shift):
             raise MutationError(f"position {j} has shift {shift}, need 0 or 1")
-    pivot, pivot_shift = members[i - 1]
     if pivot_shift != 0:
         raise MutationError(f"member at position {i} sits at shift 1, need shift 0")
     return tuple(

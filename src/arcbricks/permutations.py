@@ -21,7 +21,7 @@ and scans its types, and every word from outside comes in through it
 that are permutations by construction skip that check through the private
 ``_trusted``: ``all_permutations`` and ``identity_permutation`` (after
 ``check_rank``, which ``arcs.enumerate_arcs`` also calls),
-``left_multiply_simple`` (after its index check) and ``_from_rows`` (which
+``left_multiply_simple`` (after ``one_based``) and ``_from_rows`` (which
 keeps its biclosure check).  ``one_based`` is the package's one 1-based
 index check: ``w[i]`` refuses through it any position but an ``int`` in
 1..n+1, and a permutation is not iterable: read ``w.word``.
@@ -135,11 +135,10 @@ def descents(w: Permutation) -> list[int]:
 
 
 def left_multiply_simple(i: int, w: Permutation) -> Permutation:
-    """s_i w: exchange the entries at positions i and i+1."""
-    if not 1 <= i <= w.rank:
-        raise ValueError(f"generator index {i} out of range 1..{w.rank}")
+    """s_i w: swap the entries at positions i and i+1, i read by ``one_based``."""
+    k = one_based(range(w.rank), i, "generator index")
     word = list(w.word)
-    word[i - 1], word[i] = word[i], word[i - 1]
+    word[k], word[k + 1] = word[k + 1], word[k]
     return _trusted(tuple(word))
 
 

@@ -18,6 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arcs import Arc, arc_table, iter_compatible_index_sets
+from .permutations import check_rank
 from .quiver import Arrow, arc_module, check_path, parse_arrow, path_action_is_zero
 
 Path = tuple[Arrow, ...]
@@ -42,6 +43,7 @@ def parse_ideal(tokens: list[str]) -> MonomialIdealSpec:
 
 
 def two_cycle_ideal(n: int) -> MonomialIdealSpec:
+    check_rank(n)
     gens = []
     for i in range(1, n):
         gens.append(((i, 1), (i, -1)))
@@ -51,11 +53,13 @@ def two_cycle_ideal(n: int) -> MonomialIdealSpec:
 
 def linear_ideal(n: int) -> MonomialIdealSpec:
     """Kill every inverse arrow, leaving the linearly oriented path algebra."""
+    check_rank(n)
     return MonomialIdealSpec(tuple(((i, -1),) for i in range(1, n)))
 
 
 def radical_square_ideal(n: int) -> MonomialIdealSpec:
     """All composable paths of length two."""
+    check_rank(n)
     gens = []
     for i in range(1, n):
         gens.append(((i, 1), (i, -1)))

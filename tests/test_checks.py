@@ -221,6 +221,20 @@ def test_a_route_that_raises_fails_its_rank(monkeypatch, capsys):
         "FAIL mutation-compatibility: 0 cases at n=3; 1 failure(s)\n"
         "     counterexample: n=3 raised ValueError: "
     )
+    # a generator index past the end raises IndexError, which fails the rank
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "descents", lambda w: [w.rank + 1])
+    result = run_criterion(criterion("07"), max_n=3)
+    assert not result.passed
+    assert result.counterexample == (
+        "n=3 raised IndexError: generator index 4 out of range 1..3"
+    )
+    assert main(["check", "--suite", "mutation", "--max-n", "3"]) == 1
+    assert capsys.readouterr().out.endswith(
+        "FAIL module-mutation-oracle: 4 cases at n=3; 1 failure(s)\n"
+        "     counterexample: n=3 raised IndexError: generator index 4 out of range 1..3\n"
+        "CHECK FAILURES (1/2)\n"
+    )
 
 
 def test_check_command_exits_1_while_a_route_is_broken(monkeypatch, capsys):

@@ -134,9 +134,11 @@ def test_mutate_dad_figure_steps():
 
 
 def test_mutate_dad_preconditions():
-    # only the position can be wrong: the pivot's color fixes the direction
-    for i in (0, -1, 3):
-        with pytest.raises(MutationError, match=f"position {i} out of range 1..2"):
+    # only the position can be wrong: the pivot's color fixes the direction;
+    # True read position 1 and 1.0 raised TypeError before one_based
+    for i in (0, -1, 3, True, 1.0):
+        message = rf"position {i!r} out of range 1\.\.2"
+        with pytest.raises(IndexError, match=message):
             mutate_dad(D("321"), i)
 
 
@@ -209,6 +211,10 @@ def test_smc_axiom_check():
         shifted = tuple((m, moved.get(c, c)) for m, c in members)
         assert not smc_axiom_check(shifted)
     assert not smc_axiom_check(members + ((members[0][0], 2),))
+    # the shifts are the ints 0 and 1: False, True, 0.0 and 1.0 only equal them
+    (top, _), (bottom, _) = psi(D("312"))
+    for shifts in ((False, True), (0.0, 1.0)):
+        assert not smc_axiom_check(((top, shifts[0]), (bottom, shifts[1])))
     # the members fix the rank: as many members as their one rank
     assert not smc_axiom_check(())
     for arc in (Arc(1, 2), Arc(2, 3)):
@@ -319,14 +325,18 @@ def test_mutate_smc_far_members_unchanged():
 def test_mutate_smc_pivot_shift_guard():
     with pytest.raises(MutationError):
         mutate_smc_collection(psi(D("1234")), 1)
-    with pytest.raises(MutationError):
-        mutate_smc_collection(psi(D("321")), 5)
+    # True mutated at position 1 and 1.0 raised TypeError before one_based
+    for i in (0, -1, 3, True, 1.0):
+        message = rf"position {i!r} out of range 1\.\.2"
+        with pytest.raises(IndexError, match=message):
+            mutate_smc_collection(psi(D("321")), i)
 
 
-@pytest.mark.parametrize("shift", [5, -1])
+@pytest.mark.parametrize("shift", [5, -1, True, 1.0])
 def test_mutate_smc_rejects_a_member_outside_shifts_0_and_1(monkeypatch, shift):
     # psi(D_132) at n=2 is [(M(1,3), 1), (S_2, 0)]; mutating at position 2
-    # would treat a member at any shift other than 0 as one at shift 1
+    # would treat a member at any shift other than 0 as one at shift 1, and
+    # True and 1.0 equal 1 but are not the int shift 1
     (module, _), pivot = psi(D("132"))
     monkeypatch.setattr(mutation, "_mutate_member", None)  # never reached
     with pytest.raises(MutationError, match=f"position 1 has shift {shift}"):

@@ -390,8 +390,11 @@ def test_left_multiply_simple():
     for w in all_permutations(3):
         for i in (1, 2, 3):
             assert left_multiply_simple(i, left_multiply_simple(i, w)) == w
-    with pytest.raises(ValueError):
-        left_multiply_simple(3, P("321"))
+    # True read index 1 and 1.0 raised TypeError before one_based
+    for i in (0, -1, 3, True, 1.0):
+        message = rf"generator index {i!r} out of range 1\.\.2"
+        with pytest.raises(IndexError, match=message):
+            left_multiply_simple(i, P("321"))
 
 
 def test_descents_examples():

@@ -19,6 +19,14 @@ from arcbricks.quotients import (
 )
 
 
+@pytest.mark.parametrize("ideal", [two_cycle_ideal, linear_ideal, radical_square_ideal])
+@pytest.mark.parametrize("n", [0, -1, True, 2.0])
+def test_a_named_ideal_refuses_a_bad_rank(ideal, n):
+    # 0, -1 and True gave the empty ideal and 2.0 a bare TypeError from range
+    with pytest.raises(ValueError, match=rf"rank must be an integer >= 1, got {n!r}"):
+        ideal(n)
+
+
 def test_ideal_spec_validation():
     with pytest.raises(ValueError, match="path a1 a1 is not composable"):
         MonomialIdealSpec((((1, 1), (1, 1)),))
