@@ -48,10 +48,10 @@ from .permutations import (
     left_multiply_simple,
     weak_leq,
 )
-from .linalg import identity, is_zero
+from .linalg import identity
 from .quiver import (
-    Morphism,
     Representation,
+    _hom_system,
     arc_module,
     check_relations,
     ext1_dim,
@@ -70,7 +70,7 @@ from .quotients import (
     radical_square_ideal,
     two_cycle_ideal,
 )
-from .strings import Middle, graph_map_count, graph_maps
+from .strings import graph_map_count, graph_maps
 
 Case = tuple[str, Any, Any]
 
@@ -171,47 +171,48 @@ def _brick_classification(n: int) -> Iterator[Case]:
             yield f"{arc} + S_{v} is a brick", is_brick(_plus_simple(module, v)), False
 
 
-def materialize(alpha: Arc, beta: Arc, middle: Middle, n: int) -> Morphism:
-    """The graph map from alpha to beta with this middle as a concrete
-    morphism: the identity over the middle's vertex interval and zero
-    elsewhere, with ``int`` entries, so ``Morphism.is_valid`` evaluates the
-    integer hom rows on them in ints."""
-    source = arc_module(alpha, n)
-    target = arc_module(beta, n)
-    first, letters = middle
-    last = first + len(letters)
-    mats = tuple(
-        ((1,),) if first <= v <= last else ((0,) * source.dim(v),) * target.dim(v)
-        for v in range(1, n + 1)
-    )
-    return Morphism(source, target, mats)
-
-
 def _independent_morphisms(alpha: Arc, beta: Arc, middles, n: int) -> bool:
-    """Each graph map from alpha to beta, made concrete from its middle, is
-    a morphism with a nonempty vertex support, and the supports are
-    pairwise disjoint, so the maps are linearly independent."""
+    """Each graph map from alpha to beta, read off its middle, is a morphism,
+    and the maps are linearly independent.
+
+    A graph map is the identity on each vertex its middle covers and zero
+    elsewhere, so it sets one unknown of the pair's ``_hom_system`` to 1 per
+    covered vertex and every other unknown to 0.  The maps pass when every
+    covered vertex is in 1..n and a 1x1 block, the covered vertex sets are
+    pairwise disjoint, and every equation sums to 0 over each map's
+    unknowns.  The system is assembled once for all of the pair's maps."""
+    if not middles:
+        return True
+    equations, offsets = _hom_system(arc_module(alpha, n), arc_module(beta, n))
     covered: set[int] = set()
-    for middle in middles:
-        f = materialize(alpha, beta, middle, n)
-        support = {v for v, m in enumerate(f.mats, start=1) if not is_zero(m)}
-        if not (f.is_valid() and support) or support & covered:
+    for first, letters in middles:
+        vertices = range(first, first + len(letters) + 1)
+        if first < 1 or vertices[-1] > n or not covered.isdisjoint(vertices):
             return False
-        covered |= support
+        if any(offsets[v] - offsets[v - 1] != 1 for v in vertices):
+            return False
+        covered.update(vertices)
+        ones = {offsets[v - 1] for v in vertices}
+        if any(sum(x for j, x in row.items() if j in ones) for row in equations):
+            return False
     return True
 
 
 def _graph_maps_equal_linear_algebra(n: int) -> Iterator[Case]:
     """Graph maps form a basis of Hom on every ordered arc pair: they are
-    independent morphisms, as many as the hom dimension."""
+    independent morphisms, as many as the hom dimension.  Both the count and
+    the list of graph maps must match the hom dimension, so neither route
+    can drop or add a map unseen."""
     arcs = arc_table(n)[0]
     homs = _hom_table(n)
     for i, a in enumerate(arcs):
         for j, b in enumerate(arcs):
             label = f"{a}->{b} graph maps"
             yield f"{label} vs hom dimension", graph_map_count(a, b), homs[i][j]
-            independent = _independent_morphisms(a, b, graph_maps(a, b), n)
-            yield f"{label} are independent morphisms", independent, True
+            middles = graph_maps(a, b)
+            independent = _independent_morphisms(a, b, middles, n)
+            basis = len(middles) == homs[i][j] and independent
+            yield f"{label} are independent morphisms", basis, True
 
 
 def _orthogonality_iff_noncrossing(n: int) -> Iterator[Case]:

@@ -29,8 +29,8 @@ A ``Morphism`` stores its vertex matrices as tuples, whatever it is given.
 Hom spaces are computed from the commuting-square equations, which
 ``_hom_system`` assembles as sparse integer rows.  It is the one place
 those equations are written: ``hom_basis`` takes their ``linalg.kernel``,
-``hom_dim`` their ``linalg.rank``, and ``Morphism.is_valid`` evaluates
-them on a morphism's entries.  Ext^1 comes from the symmetric Euler-type
+``hom_dim`` their ``linalg.rank``, and criterion 03 sums them over the
+unknowns each graph map sets to 1.  Ext^1 comes from the symmetric Euler-type
 form and is never computed any other way here.  ``morphism_parts`` gives
 the kernel and cokernel of a morphism; their arrow maps are read off the
 canonical kernel bases of ``linalg.nullspace``, with no linear solve: the
@@ -339,21 +339,6 @@ class Morphism:
         """The matrix at vertex v in 1..n; any other vertex raises
         ``IndexError``."""
         return one_based(self.mats, v, "vertex")
-
-    def is_valid(self) -> bool:
-        """Every square commutes: each vertex matrix is target dim x source
-        dim, and every row of ``_hom_system`` vanishes on the entries of the
-        vertex matrices, read in (vertex, row, column) order."""
-        equations, _ = _hom_system(self.source, self.target)
-        if len(self.mats) != self.source.n or any(
-            len(m) != rows or any(len(row) != cols for row in m)
-            for m, rows, cols in zip(self.mats, self.target.dims, self.source.dims)
-        ):
-            return False
-        entries = [x for m in self.mats for row in m for x in row]
-        return not any(
-            sum(x * entries[j] for j, x in row.items()) for row in equations
-        )
 
 
 def _equation_arrows(source: Representation, target: Representation) -> int:

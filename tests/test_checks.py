@@ -72,23 +72,58 @@ def test_duplicated_graph_maps_fail_criterion_03(monkeypatch):
     assert "are independent morphisms: got False" in result.counterexample
 
 
-def test_graph_maps_one_vertex_too_wide_fail_criterion_03(monkeypatch):
-    # identity on every vertex both modules support: a commuting square
-    # breaks wherever only one module carries an arrow
-    materialize = checks.materialize  # the patch below replaces it
-
-    def too_wide(alpha, beta, middle, n):
-        f = materialize(alpha, beta, middle, n)
-        mats = tuple(
-            linalg.identity(1) if f.source.dim(v) == f.target.dim(v) == 1 else m
-            for v, m in enumerate(f.mats, start=1)
-        )
-        return quiver.Morphism(f.source, f.target, mats)
-
-    monkeypatch.setattr(checks, "materialize", too_wide)
+def test_a_dropped_graph_map_fails_criterion_03(monkeypatch):
+    # the counts still come from graph_map_count: only the basis cases fail
+    monkeypatch.setattr(checks, "graph_maps", lambda a, b: strings.graph_maps(a, b)[1:])
     result = run_criterion(criterion("03"), max_n=3)
     assert not result.passed
     assert "are independent morphisms: got False" in result.counterexample
+
+
+def test_graph_maps_one_vertex_too_wide_fail_criterion_03(monkeypatch):
+    # identity on every vertex both modules support: a commuting square
+    # breaks wherever only one module carries an arrow
+    def too_wide(alpha, beta):
+        first = max(alpha.left, beta.left)
+        last = min(alpha.right, beta.right) - 1
+        letters = tuple((v, 1) for v in range(first, last))  # only their count is read
+        return [(first, letters) for _ in strings.graph_maps(alpha, beta)]
+
+    monkeypatch.setattr(checks, "graph_maps", too_wide)
+    result = run_criterion(criterion("03"), max_n=3)
+    assert not result.passed
+    assert "are independent morphisms: got False" in result.counterexample
+
+
+def test_graph_maps_shifted_off_the_rank_fail_criterion_03_without_raising(monkeypatch):
+    # every middle one vertex to the right: at the last vertex it leaves
+    # 1..n, which fails the case instead of aborting the rank
+    def shifted(alpha, beta):
+        return [(first + 1, letters) for first, letters in strings.graph_maps(alpha, beta)]
+
+    monkeypatch.setattr(checks, "graph_maps", shifted)
+    result = run_criterion(criterion("03"), max_n=3)
+    assert not result.passed
+    assert result.detail.startswith("242 cases at n=3")
+    assert "are independent morphisms: got False" in result.counterexample
+
+
+S1, A13D = arcs.Arc(1, 2), arcs.Arc(1, 3)  # at n=2: S_1, and v1 -> v2 through a1
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, middles, independent",
+    [
+        (A13D, A13D, [(1, ((1, 1),))], True),  # the identity
+        (A13D, A13D, [(1, ((1, 1),))] * 2, False),  # the same vertices twice
+        (A13D, A13D, [(1, ())], False),  # 1 at v1 only: the square at a1 breaks
+        (S1, S1, [(2, ())], False),  # v2 is outside both supports
+        (S1, S1, [(0, ())], False),  # off the rank, on either side
+        (S1, S1, [(3, ())], False),
+    ],
+)
+def test_independent_morphisms_on_hand_made_middles(alpha, beta, middles, independent):
+    assert checks._independent_morphisms(alpha, beta, middles, 2) is independent
 
 
 def test_a_module_off_the_mesh_relations_fails_criterion_02(clear_caches, monkeypatch):

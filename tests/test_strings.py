@@ -4,8 +4,7 @@ import pytest
 
 from arcbricks import linalg
 from arcbricks.arcs import Arc, enumerate_arcs
-from arcbricks.checks import materialize
-from arcbricks.quiver import arc_module, hom_dim
+from arcbricks.quiver import Morphism, arc_module, hom_dim
 from arcbricks.strings import (
     QUOTIENT,
     SUBMODULE,
@@ -13,6 +12,7 @@ from arcbricks.strings import (
     graph_map_count,
     graph_maps,
 )
+from test_quiver import is_valid
 
 A13U = Arc(1, 3, frozenset({2}))
 A13D = Arc(1, 3)
@@ -113,13 +113,27 @@ def test_graph_map_count_is_the_number_of_graph_maps():
             assert graph_map_count(a, b) == len(graph_maps(a, b))
 
 
+def materialize(alpha, beta, middle, n):
+    """The graph map from alpha to beta with this middle as a concrete
+    morphism: the identity over the middle's vertex interval and zero
+    elsewhere, with ``int`` entries."""
+    source, target = arc_module(alpha, n), arc_module(beta, n)
+    first, letters = middle
+    last = first + len(letters)
+    mats = tuple(
+        ((1,),) if first <= v <= last else ((0,) * source.dim(v),) * target.dim(v)
+        for v in range(1, n + 1)
+    )
+    return Morphism(source, target, mats)
+
+
 def test_materialized_maps_are_independent_morphisms():
     for n in (2, 3):
         arcs = enumerate_arcs(n)
         for a, b in itertools.product(arcs, repeat=2):
             maps = [materialize(a, b, middle, n) for middle in graph_maps(a, b)]
             for f in maps:
-                assert f.is_valid()
+                assert is_valid(f)
                 # int entries, like the rows of _hom_system that is_valid reads
                 entries = [x for m in f.mats for row in m for x in row]
                 assert entries and all(type(x) is int for x in entries)
