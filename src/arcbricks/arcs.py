@@ -18,6 +18,12 @@ noncrossing conditions on arc sets:
 
   (nc1)  no two arcs cross at a non-endpoint,
   (nc2)  no two arcs share a left endpoint or share a right endpoint.
+
+The half twist reconnects two arcs meeting at a single point: the new arc
+joins the two non-shared endpoints, passes above the shared point when the
+pivot sits to its left (below when to its right), and takes every other
+interior side from the OR of the two arcs' above-point masks; it is built
+through the same interned constructor as every other arc.
 """
 
 from __future__ import annotations
@@ -209,6 +215,35 @@ def _interned_arc(left: int, right: int, above: int) -> Arc:
     """One shared ``Arc`` per (left, right, above-point bits), so its point
     masks are computed once; every arc the package builds comes from here."""
     return Arc(left, right, frozenset(m for m in range(left + 1, right) if above >> m & 1))
+
+
+def half_twist(pivot: Arc, other: Arc, twist: str = "left") -> Arc:
+    """Reconnect the non-shared endpoints of two arcs meeting at one point.
+
+    When the shared point lands inside the new span (the arcs met end to
+    end), the left twist passes above it if the pivot sat to the left of the
+    other arc and below if to the right; the right twist is the inverse
+    transformation and flips that side.  Every other interior point of the
+    new span is interior to exactly one input arc, so its side is read from
+    the OR of the inputs' above masks: arcs that meet end to end tile the
+    new span at the shared point, and arcs that leave it on the same side
+    put the new span inside the longer arc and outside the shorter one's.
+    """
+    if twist not in ("left", "right"):
+        raise ValueError(f"twist must be 'left' or 'right', got {twist!r}")
+    shared = {pivot.left, pivot.right} & {other.left, other.right}
+    if len(shared) != 1:
+        raise ValueError(
+            f"{pivot} and {other} share {len(shared)} endpoints, need exactly one"
+        )
+    s = shared.pop()
+    a = pivot.left if pivot.right == s else pivot.right
+    b = other.left if other.right == s else other.right
+    left, right = min(a, b), max(a, b)
+    up = (pivot.point_masks[0] | other.point_masks[0]) & ((1 << right) - (2 << left))
+    if left < s < right and (pivot.right == s) == (twist == "left"):
+        up |= 1 << s
+    return _interned_arc(left, right, up)
 
 
 def check_arc(arc: Arc, n) -> None:

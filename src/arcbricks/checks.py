@@ -51,8 +51,8 @@ from .permutations import (
 from .linalg import identity
 from .quiver import (
     Representation,
-    _hom_system,
     arc_module,
+    are_independent_vertex_maps,
     check_relations,
     ext1_dim,
     hom_dim,
@@ -171,46 +171,26 @@ def _brick_classification(n: int) -> Iterator[Case]:
             yield f"{arc} + S_{v} is a brick", is_brick(_plus_simple(module, v)), False
 
 
-def _independent_morphisms(alpha: Arc, beta: Arc, middles, n: int) -> bool:
-    """Each graph map from alpha to beta, read off its middle, is a morphism,
-    and the maps are linearly independent.
-
-    A graph map is the identity on each vertex its middle covers and zero
-    elsewhere, so it sets one unknown of the pair's ``_hom_system`` to 1 per
-    covered vertex and every other unknown to 0.  The maps pass when every
-    covered vertex is in 1..n and a 1x1 block, the covered vertex sets are
-    pairwise disjoint, and every equation sums to 0 over each map's
-    unknowns.  The system is assembled once for all of the pair's maps."""
-    if not middles:
-        return True
-    equations, offsets = _hom_system(arc_module(alpha, n), arc_module(beta, n))
-    covered: set[int] = set()
-    for first, letters in middles:
-        vertices = range(first, first + len(letters) + 1)
-        if first < 1 or vertices[-1] > n or not covered.isdisjoint(vertices):
-            return False
-        if any(offsets[v] - offsets[v - 1] != 1 for v in vertices):
-            return False
-        covered.update(vertices)
-        ones = {offsets[v - 1] for v in vertices}
-        if any(sum(x for j, x in row.items() if j in ones) for row in equations):
-            return False
-    return True
-
-
 def _graph_maps_equal_linear_algebra(n: int) -> Iterator[Case]:
     """Graph maps form a basis of Hom on every ordered arc pair: they are
-    independent morphisms, as many as the hom dimension.  Both the count and
-    the list of graph maps must match the hom dimension, so neither route
-    can drop or add a map unseen."""
+    independent morphisms, as many as the hom dimension.  A graph map is the
+    identity on each vertex its middle covers and zero elsewhere, so
+    ``quiver.are_independent_vertex_maps`` checks all of a pair's maps on
+    the pair's one hom system.  Both the count and the list of graph maps
+    must match the hom dimension, so neither route can drop or add a map
+    unseen."""
     arcs = arc_table(n)[0]
+    modules = [arc_module(arc, n) for arc in arcs]
     homs = _hom_table(n)
     for i, a in enumerate(arcs):
         for j, b in enumerate(arcs):
             label = f"{a}->{b} graph maps"
             yield f"{label} vs hom dimension", graph_map_count(a, b), homs[i][j]
             middles = graph_maps(a, b)
-            independent = _independent_morphisms(a, b, middles, n)
+            supports = [
+                range(first, first + len(letters) + 1) for first, letters in middles
+            ]
+            independent = are_independent_vertex_maps(modules[i], modules[j], supports)
             basis = len(middles) == homs[i][j] and independent
             yield f"{label} are independent morphisms", basis, True
 

@@ -191,8 +191,18 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+def ascii_int(text: str) -> int:
+    """An optional ``-`` and ASCII digits, as ``parse_permutation`` and
+    ``parse_arrow`` read numbers; ``int`` alone would also take other
+    scripts' digits, underscores and surrounding spaces."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"need an integer, got {text!r}")
+    return int(text)
+
+
 def positive_int(text: str) -> int:
-    n = int(text)
+    n = ascii_int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"need n >= 1, got {n}")
     return n
@@ -220,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="mutate the diagram at a position")
     common(p, perm=True)
-    p.add_argument("--i", type=int, required=True, help="position 1..n")
+    p.add_argument("--i", type=ascii_int, required=True, help="position 1..n")
     p.add_argument("--dir", required=True, choices=["left", "right"])
     p.add_argument("--format", default="json", choices=["json", "text"])
     p.set_defaults(fn=cmd_mutate)

@@ -1,19 +1,14 @@
 """Mutation of colored diagrams and of two-term collections.
 
-The half twist reconnects two arcs meeting at a single point: the new arc
-joins the two non-shared endpoints, passes above the shared point when the
-pivot sits to its left (below when to its right), and takes every other
-interior side from the OR of the two arcs' above-point masks; it is built
-through the same interned constructor as every other arc.
-
-``mutate_dad`` applies the half twist at a position of a colored diagram
-(a green pivot mutates left, a red one right, so the position fixes the
-direction) and must land on the diagram of ``s_i w``; that equality is the
-package's central cross-check, not an assumption of the implementation.  ``mutate_smc_collection`` is the
-independent module-level oracle: it mutates the image under ``psi`` using
-only hom/ext computations, extension middles glued along one arrow and
-kernel/cokernel constructions, never the half twist; a glued middle stands
-only when the cokernel of its one map from the pivot equals the neighbor.
+``mutate_dad`` applies ``arcs.half_twist`` at a position of a colored
+diagram (a green pivot mutates left, a red one right, so the position fixes
+the direction) and must land on the diagram of ``s_i w``; that equality is
+the package's central cross-check, not an assumption of the implementation.
+``mutate_smc_collection`` is the independent module-level oracle: it
+mutates the image under ``psi`` using only hom/ext computations, extension
+middles glued along one arrow and kernel/cokernel constructions, never the
+half twist; a glued middle stands only when the cokernel of its one map
+from the pivot equals the neighbor.
 Each non-pivot member goes through ``_mutate_member``, which is ``@cache``d
 on ``(module, shift, pivot)``: a member that recurs across collections is
 solved once, by the same route.
@@ -28,9 +23,9 @@ from .arcs import (
     RED,
     Arc,
     ColoredDiagram,
-    _interned_arc,
     arc_table,
     double_diagram,
+    half_twist,
 )
 from .linalg import echelon, identity
 from .permutations import Permutation, all_permutations, left_multiply_simple, one_based
@@ -57,35 +52,6 @@ def is_shift(shift) -> bool:  # the int 0 or 1, and neither False nor 1.0
 class MutationError(ValueError):
     """A mutation failed: a shift precondition, a glued module that is not
     the extension middle, or an Ext or Hom dimension other than 0 or 1."""
-
-
-def half_twist(pivot: Arc, other: Arc, twist: str = "left") -> Arc:
-    """Reconnect the non-shared endpoints of two arcs meeting at one point.
-
-    When the shared point lands inside the new span (the arcs met end to
-    end), the left twist passes above it if the pivot sat to the left of the
-    other arc and below if to the right; the right twist is the inverse
-    transformation and flips that side.  Every other interior point of the
-    new span is interior to exactly one input arc, so its side is read from
-    the OR of the inputs' above masks: arcs that meet end to end tile the
-    new span at the shared point, and arcs that leave it on the same side
-    put the new span inside the longer arc and outside the shorter one's.
-    """
-    if twist not in ("left", "right"):
-        raise ValueError(f"twist must be 'left' or 'right', got {twist!r}")
-    shared = {pivot.left, pivot.right} & {other.left, other.right}
-    if len(shared) != 1:
-        raise ValueError(
-            f"{pivot} and {other} share {len(shared)} endpoints, need exactly one"
-        )
-    s = shared.pop()
-    a = pivot.left if pivot.right == s else pivot.right
-    b = other.left if other.right == s else other.right
-    left, right = min(a, b), max(a, b)
-    up = (pivot.point_masks[0] | other.point_masks[0]) & ((1 << right) - (2 << left))
-    if left < s < right and (pivot.right == s) == (twist == "left"):
-        up |= 1 << s
-    return _interned_arc(left, right, up)
 
 
 def mutate_dad(diagram: ColoredDiagram, i: int) -> ColoredDiagram:

@@ -23,22 +23,25 @@ a ``bool`` is neither, so ``True`` never stands in for 1 in a stored module.
 ``maps`` names the nonzero maps, as a dict or ``(arrow, matrix)`` pairs;
 it is stored as the nonzero pairs in ``arrows(n)`` order, so equal modules
 have equal fields and hashes, and ``map(a)`` is zero on an arrow left out.
-A ``Morphism`` stores its vertex matrices as tuples, whatever it is given.
+A ``Morphism`` stores its vertex matrices as tuples, whatever it is given,
+and refuses modules of different rank, a matrix count other than n and a
+block that is not target.dim(v) x source.dim(v).
 ``dim(v)`` and ``mat(v)`` are 1-based and refuse a vertex outside 1..n.
 
 Hom spaces are computed from the commuting-square equations, which
 ``_hom_system`` assembles as sparse integer rows.  It is the one place
 those equations are written: ``hom_basis`` takes their ``linalg.kernel``,
-``hom_dim`` their ``linalg.rank``, and criterion 03 sums them over the
-unknowns each graph map sets to 1.  Ext^1 comes from the symmetric Euler-type
-form and is never computed any other way here.  ``morphism_parts`` gives
-the kernel and cokernel of a morphism; their arrow maps are read off the
-canonical kernel bases of ``linalg.nullspace``, with no linear solve: the
-kernel's on the arrows the source maps, the cokernel's on those the target
-maps, each only where both of its vertex spaces are nonzero.  A map is
-injective when its kernel is zero.  ``is_isomorphic`` returns ``True`` on
-equal representations first; the package's own checks compare modules with
-``==``.
+``hom_dim`` their ``linalg.rank``, and ``are_independent_vertex_maps``
+sums them over the unknowns that each map, the identity on a set of
+vertices and zero elsewhere, sets to 1.  Ext^1 comes from the symmetric
+Euler-type form and is never computed any other way here.
+``morphism_parts`` gives the kernel and cokernel of a morphism; their arrow
+maps are read off the canonical kernel bases of ``linalg.nullspace``, with
+no linear solve: the kernel's on the arrows the source maps, the
+cokernel's on those the target maps, each only where both of its vertex
+spaces are nonzero.  A map is injective when its kernel is zero.
+``is_isomorphic`` returns ``True`` on equal representations first; the
+package's own checks compare modules with ``==``.
 
 Six functions are cached: ``hom_basis``, ``hom_dim`` and ``ext1_dim`` on
 the pair of representations and ``morphism_parts`` on the morphism
@@ -332,7 +335,16 @@ class Morphism:
     mats: tuple[Matrix, ...]  # one per vertex
 
     def __post_init__(self):
+        if self.source.n != self.target.n:
+            raise ValueError("rank mismatch")
         mats = tuple(tuple(map(tuple, m)) for m in self.mats)
+        if len(mats) != self.source.n:
+            raise ValueError(f"need {self.source.n} vertex matrices, got {len(mats)}")
+        for v, (m, rows, cols) in enumerate(
+            zip(mats, self.target.dims, self.source.dims), start=1
+        ):
+            if len(m) != rows or rows and {*map(len, m)} != {cols}:
+                raise ValueError(f"matrix at vertex {v} is not {rows} x {cols}")
         object.__setattr__(self, "mats", mats)
 
     def mat(self, v: int) -> Matrix:
@@ -430,6 +442,35 @@ def hom_dim(source: Representation, target: Representation) -> int:
     (``linalg.rank``).  No basis is built or kept."""
     rows, offsets = _hom_system(source, target)
     return offsets[-1] - linalg.rank(rows)
+
+
+def are_independent_vertex_maps(
+    source: Representation, target: Representation, supports
+) -> bool:
+    """Whether the maps from source to target that are the identity on each
+    vertex of one support and zero elsewhere are independent morphisms.
+
+    Such a map sets one unknown of ``_hom_system`` to 1 per vertex of its
+    support and every other unknown to 0.  The maps pass when every vertex
+    is in 1..n and a 1x1 block, the supports are nonempty (an empty one
+    gives the zero map) and pairwise disjoint, and every equation sums to 0
+    over each map's unknowns.  The system is assembled once for all the
+    maps, and not at all when there are none."""
+    supports = list(supports)
+    if not supports:
+        return True
+    equations, offsets = _hom_system(source, target)
+    n, covered = source.n, set()
+    for vertices in map(set, supports):
+        if not vertices or not covered.isdisjoint(vertices):
+            return False
+        if any(not 1 <= v <= n or offsets[v] - offsets[v - 1] != 1 for v in vertices):
+            return False
+        covered |= vertices
+        ones = {offsets[v - 1] for v in vertices}
+        if any(sum(x for j, x in row.items() if j in ones) for row in equations):
+            return False
+    return True
 
 
 def _dot(x, y) -> Fraction:

@@ -108,24 +108,6 @@ def test_graph_maps_shifted_off_the_rank_fail_criterion_03_without_raising(monke
     assert "are independent morphisms: got False" in result.counterexample
 
 
-S1, A13D = arcs.Arc(1, 2), arcs.Arc(1, 3)  # at n=2: S_1, and v1 -> v2 through a1
-
-
-@pytest.mark.parametrize(
-    "alpha, beta, middles, independent",
-    [
-        (A13D, A13D, [(1, ((1, 1),))], True),  # the identity
-        (A13D, A13D, [(1, ((1, 1),))] * 2, False),  # the same vertices twice
-        (A13D, A13D, [(1, ())], False),  # 1 at v1 only: the square at a1 breaks
-        (S1, S1, [(2, ())], False),  # v2 is outside both supports
-        (S1, S1, [(0, ())], False),  # off the rank, on either side
-        (S1, S1, [(3, ())], False),
-    ],
-)
-def test_independent_morphisms_on_hand_made_middles(alpha, beta, middles, independent):
-    assert checks._independent_morphisms(alpha, beta, middles, 2) is independent
-
-
 def test_a_module_off_the_mesh_relations_fails_criterion_02(clear_caches, monkeypatch):
     # both arrows between v1 and v2 carry the identity, so the two 2-cycles
     # at v1 and v2 disagree

@@ -249,6 +249,25 @@ def test_bad_arguments_are_usage_errors(capsys, argv, message):
     assert "error:" in err and message in err and "Traceback" not in err
 
 
+def test_integer_options_take_only_ascii_digits(capsys):
+    # int() alone reads ٣ as 3 and 1_0 as 10, which then hit the size cap
+    for argv in (
+        "count --n ٣",
+        "count --n 1_0",
+        "count --n +3",
+        "hasse --n 3.0",
+        "check --max-n ٣",
+        "check --max-n 1_0",
+        "mutate --n 3 --perm 1234 --i ٢ --dir left",
+        "mutate --n 3 --perm 1234 --i 1_0 --dir left",
+    ):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, ""), argv
+        assert "error:" in err and "need an integer, got " in err, argv
+    code, out, err = run(capsys, "count", "--n", " 3")
+    assert (code, out) == (2, "") and "need an integer, got ' 3'" in err
+
+
 # Every flag each subcommand takes; the fuzz test drops some of them and adds
 # one that belongs elsewhere, so missing and foreign flags are exercised too.
 FUZZ_FLAGS = {
@@ -269,9 +288,9 @@ FUZZ_FORMATS = {
 # (valid values, bad values) per flag; a valid --perm is drawn to match --n
 # and a valid --format to suit the subcommand.
 FUZZ_VALUES = {
-    "--n": (("1", "2", "3", "4"), ("0", "-2", "x")),
+    "--n": (("1", "2", "3", "4"), ("0", "-2", "x", "٣", "1_0")),
     "--perm": ((), ("21", "2413", "12", "1223", "abc", "")),
-    "--i": (("1", "2", "3", "4"), ("0", "5", "-1", "x")),
+    "--i": (("1", "2", "3", "4"), ("0", "5", "-1", "x", "٣", "1_0")),
     "--dir": (("left", "right"), ("up",)),
     "--format": ((), ("csv",)),
     "--family": (("nad", "rnad", "anad", "custom"), ("all",)),
@@ -279,7 +298,7 @@ FUZZ_VALUES = {
     "--suite": (("all", "bijection", "homs", "mutation", "order", "quotients"), ("none",)),
     # --max-n 4 (also check's default) re-runs whole sweeps, too slow to
     # repeat, so the fuzz always passes --max-n to check and keeps to 1..3.
-    "--max-n": (("1", "2", "3"), ("0", "9")),
+    "--max-n": (("1", "2", "3"), ("0", "9", "٣", "1_0")),
     "--out": (("file",), ("missing",)),
 }
 

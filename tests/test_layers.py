@@ -7,6 +7,9 @@ the package itself.  The expected sets are read from the source, so the
 test needs no list of modules; one fresh interpreter imports each module
 in turn, with every ``arcbricks`` entry cleared from ``sys.modules``
 before each import.
+
+Each module also keeps its internals: no module imports or reads a
+single-underscore name of another package module.
 """
 
 import ast
@@ -91,3 +94,32 @@ def test_each_module_loads_exactly_its_import_closure():
         "arcbricks.permutations",
         "arcbricks.strings",
     ]
+
+
+def private_reads(module: str) -> list[str]:
+    """``module -> other._name`` for each single-underscore name of another
+    package module that a module imports or reads, anywhere in its source:
+    ``from .other import _name``, or ``other._name`` on a module bound by
+    ``from . import other``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    found.append((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                found.append((aliases[node.value.id], node.attr))
+    return [
+        f"{module} -> {other}.{name}"
+        for other, name in found
+        if other != module and name.startswith("_") and not name.startswith("__")
+    ]
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert [read for module in MODULES for read in private_reads(module)] == []

@@ -22,6 +22,7 @@ from arcbricks.quiver import (
     _equation_arrows,
     _hom_system,
     arc_module,
+    are_independent_vertex_maps,
     arrow_source,
     arrow_target,
     arrows,
@@ -780,6 +781,45 @@ def test_hom_system_skips_no_equation(clear_caches):
     assert (hom_dim(holed, through), hom_dim(through, holed)) == (0, 2)
 
 
+S_1, V1_V2 = simple(2, 1), arc_module(A13D, 2)  # S_1, and v1 -> v2 through a1
+DOWN_UP, UP_DOWN = (arc_module(Arc(1, 4, frozenset({m})), 3) for m in (3, 2))
+
+
+@pytest.mark.parametrize(
+    "source, target, supports, independent",
+    [
+        (V1_V2, V1_V2, [{1, 2}], True),  # the identity
+        (V1_V2, V1_V2, [{1, 2}] * 2, False),  # the same vertices twice
+        (V1_V2, V1_V2, [{1}], False),  # 1 at v1 only: the square at a1 breaks
+        (S_1, S_1, [{2}], False),  # v2 is outside both supports
+        (S_1, S_1, [{0}], False),  # off the rank, on either side
+        (S_1, S_1, [{3}], False),
+        (Representation((2, 0), {}),) * 2 + ([{1}], False),  # S_1 + S_1: a 2x2 block
+        # the two graph maps of arc(1,4;2v;3^) -> arc(1,4;2^;3v), at v1 and v3
+        (DOWN_UP, UP_DOWN, [{1}, {3}], True),
+        (V1_V2, V1_V2, [set()], False),  # the zero map
+        (V1_V2, V1_V2, [], True),  # no maps at all
+    ],
+)
+def test_are_independent_vertex_maps_on_hand_made_supports(
+    source, target, supports, independent
+):
+    assert are_independent_vertex_maps(source, target, supports) is independent
+
+
+def test_are_independent_vertex_maps_assembles_one_system(monkeypatch):
+    calls = []
+
+    def counting(source, target):
+        calls.append((source, target))
+        return _hom_system(source, target)
+
+    monkeypatch.setattr(quiver, "_hom_system", counting)
+    assert are_independent_vertex_maps(DOWN_UP, UP_DOWN, [range(1, 2), range(3, 4)])
+    assert are_independent_vertex_maps(DOWN_UP, UP_DOWN, iter([]))
+    assert calls == [(DOWN_UP, UP_DOWN)]
+
+
 def reference_arrow_table(rep):
     """``arrow_table``, ``mapped``, ``tails`` and ``heads`` read off the
     dense ``map(a)`` of every arrow and ``dim(v)`` of every vertex."""
@@ -836,16 +876,12 @@ def test_a_morphism_stores_its_matrices_as_tuples():
 
 
 def is_valid(f):
-    """Every square commutes: each vertex matrix is target dim x source dim,
-    and every row of ``_hom_system`` vanishes on the entries of the vertex
-    matrices, read in (vertex, row, column) order.  Criterion 03 sums the
-    same rows over the unknowns a graph map sets to 1."""
+    """Every square commutes: every row of ``_hom_system`` vanishes on the
+    entries of the vertex matrices, read in (vertex, row, column) order;
+    ``Morphism`` refuses matrices of the wrong shape.
+    ``are_independent_vertex_maps`` sums the same rows over the unknowns a
+    vertex map sets to 1."""
     equations, _ = _hom_system(f.source, f.target)
-    if len(f.mats) != f.source.n or any(
-        len(m) != rows or any(len(row) != cols for row in m)
-        for m, rows, cols in zip(f.mats, f.target.dims, f.source.dims)
-    ):
-        return False
     entries = [x for m in f.mats for row in m for x in row]
     return not any(sum(x * entries[j] for j, x in row.items()) for row in equations)
 
@@ -914,8 +950,29 @@ def test_is_valid_rejects_wrongly_shaped_matrices():
     s1 = simple(2, 1)  # dims (1, 0)
     one = linalg.identity(1)
     assert is_valid(identity_morphism(s1))
-    assert not is_valid(Morphism(s1, s1, (one, one)))
-    assert not is_valid(Morphism(s1, s1, (one,)))
+    # the constructor refuses them, so is_valid never reads them
+    with pytest.raises(ValueError, match="matrix at vertex 2 is not 0 x 0"):
+        Morphism(s1, s1, (one, one))
+    with pytest.raises(ValueError, match="need 2 vertex matrices, got 1"):
+        Morphism(s1, s1, (one,))
+
+
+def test_a_morphism_of_the_wrong_shape_is_refused():
+    # these reached morphism_parts: ((),) raised a bare IndexError there, and
+    # a third matrix was dropped from a kernel of dims (1, 0)
+    a, b = arc_module(Arc(1, 3), 2), arc_module(Arc(2, 3), 2)  # dims (1, 1), (0, 1)
+    zero, one = linalg.zeros(0, 1), linalg.identity(1)
+    assert Morphism(a, b, (zero, one)).mats == ((), ((1,),))
+    with pytest.raises(ValueError, match="need 2 vertex matrices, got 1"):
+        Morphism(a, b, ((),))
+    with pytest.raises(ValueError, match="need 2 vertex matrices, got 3"):
+        Morphism(a, b, (zero, one, one))
+    with pytest.raises(ValueError, match="matrix at vertex 1 is not 0 x 1"):
+        Morphism(a, b, (one, one))
+    with pytest.raises(ValueError, match="matrix at vertex 2 is not 1 x 1"):
+        Morphism(a, b, (zero, ((1, 0),)))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        Morphism(a, arc_module(Arc(2, 3), 3), (zero, one))
 
 
 def injective_choices(basis, source):
