@@ -35,6 +35,7 @@ from .mutation import (
     MutationError,
     collections_match,
     hasse,
+    is_shift,
     mutate_dad,
     mutate_smc_collection,
     psi,
@@ -260,6 +261,28 @@ def _mutation_compatibility(n: int) -> Iterator[Case]:
             yield f"w={text} i={i} ({direction})", got, expected
 
 
+def flip_member(members: tuple, k: int) -> tuple:
+    """The collection with member k (0-based) moved to the other shift."""
+    module, shift = members[k]
+    return (*members[:k], (module, 1 - shift), *members[k + 1 :])
+
+
+def _flip_fault(members: tuple, flipped: tuple, k: int) -> str | None:
+    """What is wrong with ``flipped`` as ``members`` with only member k moved
+    to the other shift, or None.  ``smc_axiom_check`` also refuses a wrong
+    member count or a shift other than 0 and 1 before any axiom, so a
+    malformed flip would pass the negative case without this."""
+    if len(flipped) != len(members):
+        return f"flipped collection has {len(flipped)} members, not {len(members)}"
+    others = (*flipped[:k], *flipped[k + 1 :])
+    if others != (*members[:k], *members[k + 1 :]):
+        return f"flipped collection changes a member other than {k + 1}"
+    (module, shift), (moved, new_shift) = members[k], flipped[k]
+    if moved != module or not is_shift(new_shift) or new_shift == shift:
+        return f"flipped member {k + 1} is not the module at shift {1 - shift}"
+    return None
+
+
 def _module_mutation_oracle(n: int) -> Iterator[Case]:
     """Every image psi(D_w) satisfies the collection axioms, and fails them
     once any one member moves to the other shift; module-level mutation
@@ -270,10 +293,11 @@ def _module_mutation_oracle(n: int) -> Iterator[Case]:
     for w, members in images.items():
         text = str(w)
         yield f"w={text} collection axioms", smc_axiom_check(members), True
-        for k, (module, shift) in enumerate(members):
-            flipped = (*members[:k], (module, 1 - shift), *members[k + 1 :])
+        for k, (_, shift) in enumerate(members):
+            flipped = flip_member(members, k)
+            fault = _flip_fault(members, flipped, k)
             label = f"w={text} member {k + 1} at shift {1 - shift} collection axioms"
-            yield label, smc_axiom_check(flipped), False
+            yield label, fault or smc_axiom_check(flipped), False
         for i in descents(w):
             expected = images[left_multiply_simple(i, w)]
             try:

@@ -7,13 +7,26 @@ disagrees with the pivot's color, which alone fixes the direction of
 ``mutation.mutate_dad``), 4 size cap exceeded; check returns 1 when a suite
 fails.  ``count --family custom --ideal`` passes the parsed ideal itself as
 the family.  All output is byte-deterministic for fixed flags.
+
+Each subcommand builds its data first and only then opens ``--out`` (or
+takes ``sys.stdout``).  Output is written in batches of
+``CHUNKS_PER_WRITE`` text chunks and never joined whole: JSON goes through
+the encoder's ``iterencode``, the same encoder ``json.dumps(indent=2)``
+uses, so the bytes are those ``json.dumps`` gives, and ``check`` writes a
+chunk per line; the dot, SVG, TikZ and text formats are built as one string
+each.  A reader that closes
+stdout early ends the output quietly with exit 0; a failed open or write
+of ``--out`` exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import chain, islice
+from typing import Iterable
 
 from .arcs import ARC_ENUM_CAP, GREEN, RED, double_diagram
 from .checks import SUITES, run_suite
@@ -28,6 +41,11 @@ EXIT_PRECONDITION = 3
 EXIT_CAP = 4
 
 CHECK_CAP = 5
+
+# text chunks joined per write: the n=5 hasse document is some 128,000
+# chunks; writing them one by one is slower than one json.dumps string, and
+# larger batches hold more at once for no faster write
+CHUNKS_PER_WRITE = 1024
 
 
 class CliError(Exception):
@@ -48,17 +66,35 @@ def _load_permutation(args) -> Permutation:
     return w
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path is not None:
+def _write(fh, chunks: Iterable[str]):
+    chunks = iter(chunks)
+    while batch := list(islice(chunks, CHUNKS_PER_WRITE)):
+        fh.write("".join(batch))
+
+
+def _emit(chunks: Iterable[str], out_path: str | None):
+    if out_path is None:
         try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(
-                EXIT_USAGE, f"cannot write {out_path}: {exc.strerror or exc}"
-            )
-    else:
-        sys.stdout.write(text)
+            _write(sys.stdout, chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed early; point stdout at devnull so that no
+            # later write or flush to it, the interpreter's last one
+            # included, raises again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return
+    try:
+        with open(out_path, "w") as fh:
+            _write(fh, chunks)
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"cannot write {out_path}: {exc.strerror or exc}")
+
+
+def _emit_json(data, out_path: str | None):
+    encoded = json.JSONEncoder(indent=2).iterencode(data)
+    _emit(chain(encoded, ("\n",)), out_path)
 
 
 def _diagram_json(w: Permutation) -> dict:
@@ -85,9 +121,9 @@ def _diagram_text(w: Permutation) -> str:
 def cmd_map(args) -> int:
     w = _load_permutation(args)
     if args.format == "json":
-        _emit(json.dumps(_diagram_json(w), indent=2) + "\n", args.out)
+        _emit_json(_diagram_json(w), args.out)
     else:
-        _emit(_diagram_text(w), args.out)
+        _emit((_diagram_text(w),), args.out)
     return EXIT_OK
 
 
@@ -119,9 +155,9 @@ def cmd_mutate(args) -> int:
     data = mutated.to_json()
     data["permutation"] = str(moved)
     if args.format == "json":
-        _emit(json.dumps(data, indent=2) + "\n", args.out)
+        _emit_json(data, args.out)
     else:
-        _emit(_diagram_text(moved), args.out)
+        _emit((_diagram_text(moved),), args.out)
     return EXIT_OK
 
 
@@ -129,9 +165,9 @@ def cmd_hasse(args) -> int:
     if args.n > HASSE_CAP:
         raise CliError(EXIT_CAP, f"hasse cap is n <= {HASSE_CAP}")
     if args.format == "dot":
-        _emit(hasse_dot(args.n), args.out)
+        _emit((hasse_dot(args.n),), args.out)
     else:
-        _emit(json.dumps(hasse_json(args.n), indent=2) + "\n", args.out)
+        _emit_json(hasse_json(args.n), args.out)
     return EXIT_OK
 
 
@@ -158,12 +194,10 @@ def cmd_count(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"bad ideal: {exc}")
     if args.format == "json":
-        _emit(
-            json.dumps({"family": args.family, "n": args.n, "count": count}) + "\n",
-            args.out,
-        )
+        data = {"family": args.family, "n": args.n, "count": count}
+        _emit((json.dumps(data), "\n"), args.out)
     else:
-        _emit(f"{count}\n", args.out)
+        _emit((f"{count}\n",), args.out)
     return EXIT_OK
 
 
@@ -177,7 +211,7 @@ def cmd_check(args) -> int:
         f"{'all checks passed' if ok else 'CHECK FAILURES'} "
         f"({sum(r.passed for r in results)}/{len(results)})"
     )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit((f"{line}\n" for line in lines), args.out)
     return EXIT_OK if ok else 1
 
 
@@ -185,9 +219,9 @@ def cmd_render(args) -> int:
     w = _load_permutation(args)
     diagram = double_diagram(w)
     if args.format == "svg":
-        _emit(render_svg(diagram), args.out)
+        _emit((render_svg(diagram),), args.out)
     else:
-        _emit(render_tikz(diagram), args.out)
+        _emit((render_tikz(diagram),), args.out)
     return EXIT_OK
 
 

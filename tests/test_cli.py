@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arcbricks.cli as cli
 import arcbricks.mutation as mutation
 from arcbricks.cli import main
 
@@ -221,6 +226,38 @@ def test_an_empty_out_path_is_a_usage_error(capsys):
     code, out, err = run(capsys, "count", "--n", "3", "--out", "")
     assert (code, out) == (2, "")
     assert "error: cannot write " in err
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_0_and_no_stderr():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "arcbricks.cli", "hasse", "--n", "5", "--format", "json"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.read(5) == b'{\n  "'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (0, b"")
+
+
+def test_hasse_json_is_written_in_bounded_memory(tmp_path, capsys, clear_caches):
+    # the n=5 document is 0.7 MB; built whole by json.dumps(indent=2), from
+    # some 128,000 chunk strings, it peaked at about 7.3 MiB
+    target = tmp_path / "h5.json"
+    tracemalloc.start()
+    try:
+        code = main(["hasse", "--n", "5", "--format", "json", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == ""
+    assert peak <= 3.5 * 2**20
+    clear_caches()
+    code, out, _ = run(capsys, "hasse", "--n", "5", "--format", "json")
+    assert code == 0 and target.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize(

@@ -51,8 +51,32 @@ def first_dropped(route):
     return lambda *args: route(*args)[1:]
 
 
-def row(name, fault, failing):
-    return pytest.param(name, fault, failing, id=name)
+def shift_plus_one(route):
+    def flip(members, k):
+        module, shift = members[k]
+        return (*members[:k], (module, 1 + shift), *members[k + 1 :])
+
+    return flip
+
+
+def one_member_repeated(route):
+    def flip(members, k):
+        module, shift = members[k]
+        return (*members[:k], (module, 1 - shift), *members[k - 1 :])
+
+    return flip
+
+
+def one_member_dropped(route):
+    def flip(members, k):
+        module, shift = members[k]
+        return (*members[:k], (module, 1 - shift), *members[k + 2 :])
+
+    return flip
+
+
+def row(name, fault, failing, label=None):
+    return pytest.param(name, fault, failing, id=label or name)
 
 
 FAULTS = [
@@ -73,6 +97,9 @@ FAULTS = [
     row("is_right_arc", negated, {"10"}),
     row("nad_ideal_filter", first_dropped, {"10"}),
     row("smc_axiom_check", returns(True), {"07"}),
+    row("flip_member", shift_plus_one, {"07"}, "flip_member_shift_plus_one"),
+    row("flip_member", one_member_repeated, {"07"}, "flip_member_one_member_repeated"),
+    row("flip_member", one_member_dropped, {"07"}, "flip_member_one_member_dropped"),
     row("is_semibrick", returns(True), {"05"}),
     row("check_relations", returns(True), {"02"}),
     row("is_brick", returns(True), {"02"}),
