@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Any, Callable, Iterator
 
 from .arcs import (
@@ -109,10 +108,11 @@ class Criterion:
         return self.cases.__name__.strip("_").replace("_", "-")
 
 
-@cache
 def _hom_table(n: int) -> tuple[tuple[int, ...], ...]:
     """hom_dim between the arc modules of every ordered pair of arcs,
-    indexed like ``arc_table(n)``'s arcs; built on first use, once per n."""
+    indexed like ``arc_table(n)``'s arcs.  It keeps no cache of its own:
+    after the first call at n, each call reads every pair from ``hom_dim``'s
+    cache, the one store of arc-pair hom dimensions."""
     modules = [arc_module(arc, n) for arc in arc_table(n)[0]]
     return tuple(tuple(hom_dim(a, b) for b in modules) for a in modules)
 

@@ -1,22 +1,25 @@
 """Command-line surface.
 
 Subcommands: map, mutate, hasse, count, check, render.  Exit codes form a
-scriptable contract: 0 success, 2 usage error (argparse errors included),
-3 failed precondition (a position out of range, or a ``--dir`` that
-disagrees with the pivot's color, which alone fixes the direction of
-``mutation.mutate_dad``), 4 size cap exceeded; check returns 1 when a suite
-fails.  ``count --family custom --ideal`` passes the parsed ideal itself as
-the family.  All output is byte-deterministic for fixed flags.
+scriptable contract: 0 success, 2 usage error (argparse errors included,
+and a failed write to stdout or to ``--out``), 3 failed precondition (a
+position out of range, or a ``--dir`` that disagrees with the pivot's
+color, which alone fixes the direction of ``mutation.mutate_dad``), 4 size
+cap exceeded; check returns 1 when a suite fails.  ``count --family custom
+--ideal`` passes the parsed ideal itself as the family.  All output is
+byte-deterministic for fixed flags.
 
-Each subcommand builds its data first and only then opens ``--out`` (or
-takes ``sys.stdout``).  Output is written in batches of
-``CHUNKS_PER_WRITE`` text chunks and never joined whole: JSON goes through
-the encoder's ``iterencode``, the same encoder ``json.dumps(indent=2)``
-uses, so the bytes are those ``json.dumps`` gives, and ``check`` writes a
-chunk per line; the dot, SVG, TikZ and text formats are built as one string
-each.  A reader that closes
-stdout early ends the output quietly with exit 0; a failed open or write
-of ``--out`` exits 2.
+Each subcommand does no I/O: it checks its input, builds its result and
+returns it as text chunks with its exit code, and ``main`` writes the
+chunks once, through ``_emit``, so nothing is opened before the data is
+built.  Output is written in batches of ``CHUNKS_PER_WRITE`` text chunks and
+never joined whole: JSON goes through the encoder's ``iterencode``, the
+same encoder ``json.dumps(indent=2)`` uses, so the bytes are those
+``json.dumps`` gives, and ``check`` gives a chunk per line; the dot, SVG,
+TikZ and text formats are built as one string each.  A reader that closes
+stdout early ends the output quietly, and the command's own exit code
+stands; any other failed open or write, of stdout or of ``--out``, exits 2
+naming the destination.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from itertools import chain, islice
 from typing import Iterable
 
@@ -66,35 +70,33 @@ def _load_permutation(args) -> Permutation:
     return w
 
 
-def _write(fh, chunks: Iterable[str]):
-    chunks = iter(chunks)
-    while batch := list(islice(chunks, CHUNKS_PER_WRITE)):
-        fh.write("".join(batch))
-
-
 def _emit(chunks: Iterable[str], out_path: str | None):
-    if out_path is None:
-        try:
-            _write(sys.stdout, chunks)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed early; point stdout at devnull so that no
-            # later write or flush to it, the interpreter's last one
-            # included, raises again
+    """Write the chunks to ``out_path``, or to ``sys.stdout`` (looked up at
+    call time) when it is None, and flush them; a failed write exits 2,
+    except a broken pipe on stdout, which ends the output quietly."""
+    try:
+        dest = nullcontext(sys.stdout) if out_path is None else open(out_path, "w")
+        with dest as fh:
+            chunks = iter(chunks)
+            while batch := list(islice(chunks, CHUNKS_PER_WRITE)):
+                fh.write("".join(batch))
+            fh.flush()
+    except OSError as exc:
+        if out_path is None:
+            # point stdout at devnull so that no later write or flush to it,
+            # the interpreter's last one of the unwritten buffer included,
+            # raises again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        return
-    try:
-        with open(out_path, "w") as fh:
-            _write(fh, chunks)
-    except OSError as exc:
-        raise CliError(EXIT_USAGE, f"cannot write {out_path}: {exc.strerror or exc}")
+            if isinstance(exc, BrokenPipeError):  # the reader closed early
+                return
+        where = "stdout" if out_path is None else out_path
+        raise CliError(EXIT_USAGE, f"cannot write {where}: {exc.strerror or exc}")
 
 
-def _emit_json(data, out_path: str | None):
-    encoded = json.JSONEncoder(indent=2).iterencode(data)
-    _emit(chain(encoded, ("\n",)), out_path)
+def _json(data) -> Iterable[str]:
+    return chain(json.JSONEncoder(indent=2).iterencode(data), ("\n",))
 
 
 def _diagram_json(w: Permutation) -> dict:
@@ -118,16 +120,14 @@ def _diagram_text(w: Permutation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_map(args) -> int:
+def cmd_map(args) -> tuple[Iterable[str], int]:
     w = _load_permutation(args)
     if args.format == "json":
-        _emit_json(_diagram_json(w), args.out)
-    else:
-        _emit((_diagram_text(w),), args.out)
-    return EXIT_OK
+        return _json(_diagram_json(w)), EXIT_OK
+    return (_diagram_text(w),), EXIT_OK
 
 
-def cmd_mutate(args) -> int:
+def cmd_mutate(args) -> tuple[Iterable[str], int]:
     w = _load_permutation(args)
     diagram = double_diagram(w)
     try:  # a bad position exits 3 naming the range 1..n
@@ -152,56 +152,47 @@ def cmd_mutate(args) -> int:
             f"internal cross-check failed: mutation at {args.i} does not match "
             f"the diagram of {moved}",
         )
-    data = mutated.to_json()
-    data["permutation"] = str(moved)
     if args.format == "json":
-        _emit_json(data, args.out)
-    else:
-        _emit((_diagram_text(moved),), args.out)
-    return EXIT_OK
+        data = mutated.to_json()
+        data["permutation"] = str(moved)
+        return _json(data), EXIT_OK
+    return (_diagram_text(moved),), EXIT_OK
 
 
-def cmd_hasse(args) -> int:
+def cmd_hasse(args) -> tuple[Iterable[str], int]:
     if args.n > HASSE_CAP:
         raise CliError(EXIT_CAP, f"hasse cap is n <= {HASSE_CAP}")
     if args.format == "dot":
-        _emit((hasse_dot(args.n),), args.out)
-    else:
-        _emit_json(hasse_json(args.n), args.out)
-    return EXIT_OK
+        return (hasse_dot(args.n),), EXIT_OK
+    return _json(hasse_json(args.n)), EXIT_OK
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[Iterable[str], int]:
     if args.n > ARC_ENUM_CAP:
         raise CliError(EXIT_CAP, f"count cap is n <= {ARC_ENUM_CAP}")
     if args.ideal is not None and args.family != "custom":
         raise CliError(EXIT_USAGE, "--ideal needs --family custom")
-    family = args.family
-    if family == "custom":
-        if not args.ideal:
-            raise CliError(EXIT_USAGE, "custom family needs --ideal")
-        try:
+    if args.family == "custom" and not args.ideal:
+        raise CliError(EXIT_USAGE, "custom family needs --ideal")
+    try:
+        family = args.family
+        if family == "custom":
             tokens = json.loads(args.ideal)
             if not isinstance(tokens, list) or not all(
                 isinstance(t, str) for t in tokens
             ):
                 raise ValueError("need a JSON list of strings")
             family = parse_ideal(tokens)
-        except ValueError as exc:
-            raise CliError(EXIT_USAGE, f"bad ideal: {exc}")
-    try:
         count = family_count(args.n, family)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"bad ideal: {exc}")
     if args.format == "json":
         data = {"family": args.family, "n": args.n, "count": count}
-        _emit((json.dumps(data), "\n"), args.out)
-    else:
-        _emit((f"{count}\n",), args.out)
-    return EXIT_OK
+        return (json.dumps(data), "\n"), EXIT_OK
+    return (f"{count}\n",), EXIT_OK
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[Iterable[str], int]:
     if args.max_n > CHECK_CAP:
         raise CliError(EXIT_CAP, f"check cap is 1 <= max-n <= {CHECK_CAP}")
     results = run_suite(args.suite, args.max_n)
@@ -211,18 +202,14 @@ def cmd_check(args) -> int:
         f"{'all checks passed' if ok else 'CHECK FAILURES'} "
         f"({sum(r.passed for r in results)}/{len(results)})"
     )
-    _emit((f"{line}\n" for line in lines), args.out)
-    return EXIT_OK if ok else 1
+    return (f"{line}\n" for line in lines), EXIT_OK if ok else 1
 
 
-def cmd_render(args) -> int:
-    w = _load_permutation(args)
-    diagram = double_diagram(w)
+def cmd_render(args) -> tuple[Iterable[str], int]:
+    diagram = double_diagram(_load_permutation(args))
     if args.format == "svg":
-        _emit((render_svg(diagram),), args.out)
-    else:
-        _emit((render_tikz(diagram),), args.out)
-    return EXIT_OK
+        return (render_svg(diagram),), EXIT_OK
+    return (render_tikz(diagram),), EXIT_OK
 
 
 def ascii_int(text: str) -> int:
@@ -302,10 +289,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        chunks, code = args.fn(args)
+        _emit(chunks, args.out)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    return code
 
 
 if __name__ == "__main__":

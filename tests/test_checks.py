@@ -1,6 +1,7 @@
 """The criteria table: its names and suites, and that a broken route fails."""
 
 import pytest
+from conftest import PACKAGE_CACHES
 
 import arcbricks.arcs as arcs
 import arcbricks.linalg as linalg
@@ -271,13 +272,15 @@ def test_clear_caches_empties_every_package_cache(clear_caches):
         quiver._vertex_parts,
         quiver.ext1_dim,
         mutation._mutate_member,
-        checks._hom_table,
         arcs.arc_table,
         arcs._interned_arc,
         arcs.arc_to_join_irreducible,
         mutation._graph_map_out_masks,
         strings.factorizations,
     )
+    # the tuple names exactly the caches that conftest collects and clears
+    names = sorted(f"{c.__module__}.{c.__name__}" for c in caches)
+    assert names == sorted(f"{c.__module__}.{c.__name__}" for c in PACKAGE_CACHES)
     assert run_criterion(criterion("04"), max_n=1).passed
     assert run_criterion(criterion("08"), max_n=3).passed
     assert run_criterion(criterion("10"), max_n=1).passed

@@ -228,19 +228,51 @@ def test_an_empty_out_path_is_a_usage_error(capsys):
     assert "error: cannot write " in err
 
 
-def test_a_reader_that_closes_stdout_early_gets_exit_0_and_no_stderr():
+def _cli_process_env() -> dict:
+    """The environment for ``python -m arcbricks.cli``, with this package's
+    source first on ``PYTHONPATH``."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_0_and_no_stderr():
     argv = [sys.executable, "-m", "arcbricks.cli", "hasse", "--n", "5", "--format", "json"]
     with subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_process_env()
     ) as proc:
         assert proc.stdout.read(5) == b'{\n  "'
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=120)
     assert (code, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    # count's one line fails in _emit's flush when stdout is buffered and in
+    # its write when it is not; hasse's JSON fails after its first batches,
+    # and check's report after every criterion has run
+    "argv",
+    ["count --n 3", "hasse --n 5 --format json", "check --max-n 2"],
+)
+def test_a_failed_write_to_stdout_exits_2_without_a_traceback(argv, unbuffered):
+    env = _cli_process_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "arcbricks.cli", *argv.split()],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=300,
+        )
+    message = b"error: cannot write stdout: No space left on device\n"
+    assert (proc.returncode, proc.stderr) == (2, message)
 
 
 def test_hasse_json_is_written_in_bounded_memory(tmp_path, capsys, clear_caches):
